@@ -1,24 +1,8 @@
 //! `opc` — the OpenPulse-optimizing compiler, as a command-line tool.
 //!
-//! Reads an OpenQASM 2.0 program (file argument or stdin), compiles it for
-//! a simulated Almaden-like device in both the standard and optimized
-//! flows, and reports every stage: the transpiled assembly, the basis-gate
-//! program, the pulse schedule (duration, pulse count, ASCII timeline) and
-//! optionally a noisy execution.
-//!
-//! ```text
-//! opc [FLAGS] [program.qasm]
-//!   --run             execute with the full noise model (4000 shots)
-//!   --shots N         shot count for --run
-//!   --seed N          device/calibration seed (default 7)
-//!   --standard-only   only the baseline flow
-//!   --optimized-only  only the pulse-optimized flow
-//! ```
-//!
-//! Example: `cargo run --release -p repro-bench --bin opc -- --run bell.qasm`
-//!
-//! The one-command pipeline and the benchmark corpus live behind two
-//! subcommands (see `quant-corpus`):
+//! Four subcommands; a bare `opc` (or `opc --help`) prints them and exits
+//! with status 2. The one-command pipeline and the benchmark corpus
+//! (see `quant-corpus`):
 //!
 //! ```text
 //! opc compile [--mode standard|optimized] [--shots N] [--seed N]
@@ -29,10 +13,14 @@
 //!
 //! `opc compile` runs QASM → routing → compilation → pulse schedule →
 //! simulated execution → counts + Hellinger fidelity in one shot
-//! (`quant_corpus::run_qasm`). `opc corpus` runs the generated benchmark
-//! corpus under both compilation flows and writes `CORPUS_REPORT.json` +
-//! `CORPUS_REPORT.md`; `--check` exits nonzero unless pulse-level
-//! compilation beats gate-level on schedule duration for ≥ 3 families.
+//! (`quant_corpus::run_circuit`). The schedule is verified by the
+//! compiler itself; a schedule with findings fails the compile. `opc
+//! corpus` runs the generated benchmark corpus under both compilation
+//! flows and writes `CORPUS_REPORT.json` + `CORPUS_REPORT.md`; `--check`
+//! exits nonzero unless pulse-level compilation beats gate-level on
+//! schedule duration for ≥ 3 families.
+//!
+//! Example: `cargo run --release -p repro-bench --bin opc -- compile bell.qasm`
 //!
 //! Two service subcommands turn the same pipeline into a job engine
 //! (see `quant-service`):
@@ -50,63 +38,27 @@
 //! without `--addr`, runs them through an in-process service, so the
 //! request path is testable with no socket at all.
 
-use pulse_compiler::{CompileMode, Compiler};
+use pulse_compiler::CompileMode;
 use quant_circuit::qasm;
 use quant_corpus::{CorpusOptions, PipelineConfig, Tier};
-use quant_device::{calibrate, DeviceModel, PulseExecutor, ShotPool, DT};
+use quant_device::{calibrate, DeviceModel, ShotPool, DT};
 use quant_math::seeded;
 use quant_service::{wire, CompileService, DeviceKind, DeviceSpec, JobSpec, ServiceConfig};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
-struct Args {
-    path: Option<String>,
-    run: bool,
-    shots: usize,
-    seed: u64,
-    modes: Vec<CompileMode>,
-}
+const USAGE: &str = "\
+usage: opc <command> [flags]
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        path: None,
-        run: false,
-        shots: 4000,
-        seed: 7,
-        modes: vec![CompileMode::Standard, CompileMode::Optimized],
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--run" => args.run = true,
-            "--shots" => {
-                args.shots = iter
-                    .next()
-                    .ok_or("--shots needs a value")?
-                    .parse()
-                    .map_err(|_| "--shots needs an integer")?;
-            }
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer")?;
-            }
-            "--standard-only" => args.modes = vec![CompileMode::Standard],
-            "--optimized-only" => args.modes = vec![CompileMode::Optimized],
-            "--help" | "-h" => {
-                return Err("usage: opc [--run] [--shots N] [--seed N] \
-                            [--standard-only|--optimized-only] [program.qasm]"
-                    .to_string())
-            }
-            other if !other.starts_with('-') => args.path = Some(other.to_string()),
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
-        }
-    }
-    Ok(args)
-}
+  opc compile [--mode standard|optimized] [--shots N] [--seed N]
+              [--noiseless] [--trajectories N] program.qasm
+  opc corpus  [--tier smoke|full] [--shots N] [--seed N]
+              [--device-seed N] [--out DIR] [--check]
+  opc serve   [--addr HOST:PORT] [--workers N] [--queue N]
+  opc submit  [--addr HOST:PORT] [--device armonk|almaden] [--qubits N]
+              [--device-seed N] [--seed N] [--shots N] [--noiseless]
+              [--standard] program.qasm [more.qasm ...]";
 
 /// `opc serve`: a `CompileService` behind the wire protocol.
 fn cmd_serve(rest: &[String]) -> ! {
@@ -412,7 +364,6 @@ fn cmd_compile(rest: &[String]) -> ! {
     let mut path: Option<String> = None;
     let mut device_seed = 7u64;
     let mut trajectories_requested = false;
-    let mut verify = true;
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
         let mut take = |what: &str| -> String {
@@ -446,11 +397,9 @@ fn cmd_compile(rest: &[String]) -> ! {
                 trajectories_requested = true;
             }
             "--noiseless" => config.noisy = false,
-            "--verify" => verify = true,
-            "--no-verify" => verify = false,
             "--help" | "-h" => die(
                 "usage: opc compile [--mode standard|optimized] [--shots N] \
-                 [--seed N] [--noiseless] [--trajectories N] [--no-verify] program.qasm",
+                 [--seed N] [--noiseless] [--trajectories N] program.qasm",
             ),
             other if !other.starts_with('-') => path = Some(other.to_string()),
             other => die(&format!("unknown flag `{other}` (try --help)")),
@@ -504,21 +453,11 @@ fn cmd_compile(rest: &[String]) -> ! {
         run.duration_dt,
         run.duration_dt as f64 * DT * 1e6
     );
-    if verify {
-        let findings = quant_pulse::verify(&run.compiled.program.schedule, &device.verify_spec());
-        if findings.is_empty() {
-            println!(
-                "schedule verified clean ({} static rules)",
-                quant_pulse::VERIFY_RULES.len()
-            );
-        } else {
-            eprintln!("opc compile: schedule failed verification:");
-            for f in &findings {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    // The compiler verified the schedule; findings would have failed it.
+    println!(
+        "schedule verified clean ({} static rules)",
+        quant_pulse::VERIFY_RULES.len()
+    );
     println!("{}", run.compiled.program.schedule.ascii_art(72));
     if trajectories_requested && run.executor == quant_corpus::ExecutorKind::Density {
         eprintln!(
@@ -630,85 +569,9 @@ fn main() {
         Some("submit") => cmd_submit(&argv[1..]),
         Some("compile") => cmd_compile(&argv[1..]),
         Some("corpus") => cmd_corpus(&argv[1..]),
-        _ => {}
+        Some("--help" | "-h") | None => {}
+        Some(other) => eprintln!("opc: unknown command `{other}`"),
     }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-
-    let source = match &args.path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("opc: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => {
-            let mut buf = String::new();
-            if std::io::stdin().read_to_string(&mut buf).is_err() || buf.trim().is_empty() {
-                eprintln!("opc: no input (pass a .qasm file or pipe a program on stdin)");
-                std::process::exit(1);
-            }
-            buf
-        }
-    };
-
-    let circuit = match qasm::parse(&source) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("opc: parse error: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "parsed {} operations on {} qubits",
-        circuit.len(),
-        circuit.num_qubits()
-    );
-
-    let mut rng = seeded(args.seed);
-    let device = DeviceModel::almaden_like(circuit.num_qubits() as usize, &mut rng);
-    let calibration = calibrate(&device, &mut rng);
-
-    for &mode in &args.modes {
-        let compiled = match Compiler::new(&device, &calibration, mode).compile(&circuit) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("opc: {mode:?} compile error: {e}");
-                eprintln!("(two-qubit gates must touch coupled pairs; route first)");
-                std::process::exit(1);
-            }
-        };
-        println!("\n================ {mode:?} ================");
-        println!(
-            "-- assembly (after passes) --\n{}",
-            qasm::print(&compiled.assembly)
-        );
-        println!(
-            "-- pulse schedule: {} pulses, {} dt = {:.2} µs --",
-            compiled.pulse_count(),
-            compiled.duration(),
-            compiled.duration() as f64 * DT * 1e6
-        );
-        println!("{}", compiled.program.schedule.ascii_art(72));
-        if args.run {
-            let exec = PulseExecutor::new(&device);
-            let out = exec.run(&compiled.program, &mut rng);
-            let counts = out.sample_counts(&mut rng, args.shots);
-            println!("-- execution ({} shots, noisy) --", args.shots);
-            for (idx, &c) in counts.iter().enumerate() {
-                if c > 0 {
-                    let bits: String = (0..circuit.num_qubits())
-                        .map(|q| if (idx >> q) & 1 == 1 { '1' } else { '0' })
-                        .collect();
-                    println!("  |{bits}⟩ (q0 first): {c}");
-                }
-            }
-        }
-    }
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }

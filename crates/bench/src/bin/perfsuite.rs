@@ -9,14 +9,13 @@
 //! (cold at 1 and N threads, plus a warm snapshot load), the
 //! density-matrix stride kernels against their embed-based reference on
 //! 2–6 qubit registers, the trajectory executor on 8–20-qubit QAOA layers
-//! (retained serial-naive reference vs the unfused stride-kernel path at
-//! 1 and N threads, past the `O(4ⁿ)` density wall, plus `fusion_n{n}`
-//! rows timing the gate-fusion plan-replay route against the unfused
-//! kernel baseline — with a fatal fused-vs-reference count-checksum gate
-//! at a fixed root), the 20-qubit QAOA headline both unfused
-//! (`qaoa20_trajectory_workload`, comparable to earlier BENCH files) and
-//! fused (`qaoa20_trajectory_fused`, whose `speedup` column is the
-//! fusion win), the propagator hot loop
+//! past the `O(4ⁿ)` density wall (`fusion_n{n}` rows timing the fused
+//! plan-replay route at 1 and N threads against the retained
+//! serial-naive reference route — with a fatal fused-vs-reference
+//! count-checksum gate at a fixed root), the 20-qubit QAOA headline
+//! (`qaoa20_trajectory_fused` against one serial
+//! `qaoa20_trajectory_reference` run; the `speedup` column is the win
+//! over the reference route), the propagator hot loop
 //! (eigendecomposition reference vs the Taylor scratch used by the
 //! integrators), a θ-sweep with the pulse cache off vs on, and the
 //! compile service under a mixed concurrent job stream at 1..N workers
@@ -197,20 +196,14 @@ fn density_kernel_workload(n: usize, reference: bool, rounds: usize) -> usize {
 /// The trajectory executor on a textbook-compiled (CNOT·Rz·CNOT) QAOA
 /// line-graph layer: `trajectories` stochastic state-vector runs with
 /// `shots` outcomes spread across them — the workload class the `O(4ⁿ)`
-/// density wall keeps away from the density-matrix executor. `naive`
-/// selects the retained reference route (skip-scan state-vector kernels,
-/// per-sample pulse integration, clone-per-branch channel sampling and an
-/// `O(2ⁿ)` categorical scan per shot); the fast route runs stride kernels,
-/// run-compressed stack-array integration, in-place branch weighing and
-/// binary-search sampling on a per-trajectory cumulative distribution.
+/// density wall keeps away from the density-matrix executor.
 #[derive(Clone, Copy, PartialEq)]
 enum TrajRoute {
     /// Retained reference route: skip-scan kernels, per-sample pulse
     /// integration, clone-per-branch channel sampling.
     Reference,
-    /// Unfused stride-kernel path (`OPC_FUSION=0`).
-    Kernel,
-    /// Gate-fusion plan-replay path (`OPC_FUSION=1`).
+    /// The shipped route: gate-fusion plan replay with blocked kernels,
+    /// run-compressed integration and reduced-density branch weighing.
     Fused,
 }
 
@@ -227,8 +220,7 @@ fn trajectory_counts(
     let exec = TrajectoryExecutor::new(device, trajectories);
     let exec = match route {
         TrajRoute::Reference => exec.with_reference_path(),
-        TrajRoute::Kernel => exec.with_fusion(false),
-        TrajRoute::Fused => exec.with_fusion(true),
+        TrajRoute::Fused => exec,
     };
     match exec.try_run_pooled(program, shots, 41, pool) {
         Ok(counts) => counts,
@@ -646,9 +638,10 @@ fn main() {
     // Trajectory scaling past the density wall: the same QAOA layer from
     // 8 to 20 qubits (a 20-qubit density matrix would need 2⁴⁰ complex
     // entries — 16 TiB). Serial-naive is the retained reference route; the
-    // kernel path is recorded at 1 thread and at the scaling pool. The
-    // determinism tests guarantee all three rows produce bit-identical
-    // counts, so the ratio is pure execution cost.
+    // fused route is recorded at 1 thread and at the scaling pool with the
+    // reference time as its `speedup` baseline. The determinism tests
+    // guarantee the routes produce bit-identical counts, so the ratio is
+    // pure execution cost.
     let traj_sizes: &[(usize, usize, usize)] = if smoke {
         &[(3, 2, 50)]
     } else {
@@ -676,49 +669,11 @@ fn main() {
             s,
             naive_ms,
         );
-        let (s, kernel_ms) = time_best(best, || {
-            trajectory_workload(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Kernel,
-                &serial,
-            )
-        });
-        record(
-            &mut entries,
-            format!("trajectory_n{n}_kernel"),
-            1,
-            kernel_ms,
-            s,
-            naive_ms,
-        );
-        let (s, ms) = time_best(best, || {
-            trajectory_workload(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Kernel,
-                &pool,
-            )
-        });
-        record(
-            &mut entries,
-            format!("trajectory_n{n}_kernel"),
-            pool.threads(),
-            ms,
-            s,
-            naive_ms,
-        );
-        // Gate fusion vs the unfused kernel path on the same layer: the
-        // `speedup` column is the fusion win. Before timing, gate on
-        // correctness once per suite (n = 12 full, the smoke size in
-        // smoke mode): the fused and reference routes must produce the
-        // same counts at the fixed root — checksum divergence is fatal,
-        // not a slow row. (n = 20 reference runs take minutes; the
-        // determinism test suite pins the contract at every size class.)
+        // Before timing, gate on correctness once per suite (n = 12 full,
+        // the smoke size in smoke mode): the fused and reference routes
+        // must produce the same counts at the fixed root — checksum
+        // divergence is fatal, not a slow row. (The determinism test
+        // suite pins the contract at every size class.)
         if n == 12 || smoke {
             let fused = trajectory_counts(
                 &program,
@@ -747,80 +702,67 @@ fn main() {
                 ));
             }
         }
-        let (s, ms) = time_best(best, || {
-            trajectory_workload(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Fused,
-                &serial,
-            )
-        });
-        record(&mut entries, format!("fusion_n{n}"), 1, ms, s, kernel_ms);
-        let (s, ms) = time_best(best, || {
-            trajectory_workload(
-                &program,
-                &setup.device,
-                trajectories,
-                shots,
-                TrajRoute::Fused,
-                &pool,
-            )
-        });
-        record(
-            &mut entries,
-            format!("fusion_n{n}"),
-            pool.threads(),
-            ms,
-            s,
-            kernel_ms,
-        );
+        for p in [&serial, &pool] {
+            let (s, ms) = time_best(best, || {
+                trajectory_workload(
+                    &program,
+                    &setup.device,
+                    trajectories,
+                    shots,
+                    TrajRoute::Fused,
+                    p,
+                )
+            });
+            record(
+                &mut entries,
+                format!("fusion_n{n}"),
+                p.threads(),
+                ms,
+                s,
+                naive_ms,
+            );
+        }
     }
 
     // The paper-class 20-qubit workload end to end: the optimized-flow
     // QAOA MAXCUT layer at Almaden scale, a trajectory ensemble deep
-    // enough to sample from. `qaoa20_trajectory_workload` stays on the
-    // unfused kernel route (comparable with earlier BENCH files; `speedup`
-    // is 1.0 by construction) and the `qaoa20_trajectory_fused` rows time
-    // gate fusion against it — their `speedup` column is the headline
-    // fusion win.
+    // enough to sample from. The `qaoa20_trajectory_fused` rows time the
+    // fused route against one serial run of the reference route — their
+    // `speedup` column is the headline fusion win.
     if !smoke {
         let setup = Setup::almaden(20, 7_020);
         let program = trajectory_program(&setup, 20, CompileMode::Optimized);
-        let (s, unfused_ms) = time_best(1, || {
-            trajectory_workload(&program, &setup.device, 8, 2048, TrajRoute::Kernel, &pool)
+        let (s, reference_ms) = time_best(1, || {
+            trajectory_workload(
+                &program,
+                &setup.device,
+                8,
+                2048,
+                TrajRoute::Reference,
+                &serial,
+            )
         });
         record(
             &mut entries,
-            "qaoa20_trajectory_workload",
-            pool.threads(),
-            unfused_ms,
-            s,
-            unfused_ms,
-        );
-        let (s, ms) = time_best(1, || {
-            trajectory_workload(&program, &setup.device, 8, 2048, TrajRoute::Fused, &serial)
-        });
-        record(
-            &mut entries,
-            "qaoa20_trajectory_fused",
+            "qaoa20_trajectory_reference",
             1,
-            ms,
+            reference_ms,
             s,
-            unfused_ms,
+            reference_ms,
         );
-        let (s, ms) = time_best(1, || {
-            trajectory_workload(&program, &setup.device, 8, 2048, TrajRoute::Fused, &pool)
-        });
-        record(
-            &mut entries,
-            "qaoa20_trajectory_fused",
-            pool.threads(),
-            ms,
-            s,
-            unfused_ms,
-        );
+        for p in [&serial, &pool] {
+            let (s, ms) = time_best(1, || {
+                trajectory_workload(&program, &setup.device, 8, 2048, TrajRoute::Fused, p)
+            });
+            record(
+                &mut entries,
+                "qaoa20_trajectory_fused",
+                p.threads(),
+                ms,
+                s,
+                reference_ms,
+            );
+        }
     }
 
     // Propagator hot loop: eigendecomposition reference vs Taylor scratch.

@@ -286,13 +286,11 @@ impl<'a> Lowering<'a> {
         // Mandatory post-lowering pass: the schedule the compiler just
         // built must verify clean against the device it targets. Any
         // finding here is a compiler bug surfaced at compile time instead
-        // of a corrupted simulation. `OPC_VERIFY=0` skips the pass (e.g.
-        // to inspect a deliberately broken lowering).
-        if quant_device::knobs::verify() {
-            let findings = quant_pulse::verify(&display, &self.device.verify_spec());
-            if !findings.is_empty() {
-                return Err(LowerError::InvalidSchedule(findings));
-            }
+        // of a corrupted simulation. Every front end compiles through this
+        // call, so it is the one place schedules are verified.
+        let findings = quant_pulse::verify(&display, &self.device.verify_spec());
+        if !findings.is_empty() {
+            return Err(LowerError::InvalidSchedule(findings));
         }
 
         Ok(LoweredProgram {
@@ -580,8 +578,9 @@ mod tests {
     #[test]
     fn lowered_schedules_pass_static_verification() {
         // The mandatory post-lowering pass inside lower() would already
-        // have failed the compile; pin the invariant explicitly so it
-        // survives even with OPC_VERIFY=0 in the ambient environment.
+        // have failed the compile; pin the invariant explicitly against
+        // the returned schedule so a refactor that drops or weakens the
+        // pass shows up here.
         let c2 = ctx(2);
         let mut c = Circuit::new(2);
         c.h(0).cnot(0, 1).rz(1, 0.7).cnot(0, 1);

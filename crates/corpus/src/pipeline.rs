@@ -111,10 +111,6 @@ pub struct PipelineConfig {
     /// Route both executors through their retained reference
     /// implementations (slow; equivalence tests only).
     pub reference: bool,
-    /// Gate fusion on the trajectory path: `None` inherits the
-    /// `OPC_FUSION` environment default, `Some(_)` forces it. Ignored on
-    /// the density path and the reference route.
-    pub fusion: Option<bool>,
 }
 
 impl Default for PipelineConfig {
@@ -127,7 +123,6 @@ impl Default for PipelineConfig {
             density_max_qubits: 6,
             trajectories: 16,
             reference: false,
-            fusion: None,
         }
     }
 }
@@ -213,9 +208,6 @@ pub fn execute_compiled(
         Ok((ExecutorKind::Density, counts))
     } else {
         let mut exec = TrajectoryExecutor::new(device, config.trajectories);
-        if let Some(fusion) = config.fusion {
-            exec = exec.with_fusion(fusion);
-        }
         if config.reference {
             exec = exec.with_reference_path();
         }

@@ -22,9 +22,10 @@
 //! generation counter. This keeps the map from accumulating entries for
 //! parameter sets that can never be looked up again.
 //!
-//! **Knob.** The cache is on by default; set `OPC_PULSE_CACHE=0` (or call
-//! [`crate::DeviceModel::set_pulse_cache_enabled`]) to disable it, e.g.
-//! when measuring raw integrator throughput.
+//! **Switch.** The cache is always on in shipped code;
+//! [`crate::DeviceModel::set_pulse_cache_enabled`] turns it off for the
+//! cache-on-vs-off equivalence tests and for measuring raw integrator
+//! throughput.
 
 use crate::params::{CrParams, TransmonParams};
 use crate::transmon::{DriveState, FrameResult};
@@ -263,12 +264,10 @@ impl Default for PulseCache {
 }
 
 impl PulseCache {
-    /// An empty cache. Enabled unless `OPC_PULSE_CACHE` is set to `0`,
-    /// `off` or `false`.
+    /// An empty, enabled cache.
     pub fn new() -> Self {
-        let enabled = crate::knobs::pulse_cache();
         PulseCache {
-            enabled: AtomicBool::new(enabled),
+            enabled: AtomicBool::new(true),
             inner: Mutex::new(Inner::default()),
         }
     }
@@ -375,15 +374,13 @@ impl Default for ProbeCache {
 }
 
 impl ProbeCache {
-    /// An empty probe cache. Enabled unless `OPC_PROBE_CACHE` is set to
-    /// `0`, `off` or `false`.
+    /// An empty, enabled probe cache.
     pub fn new() -> Self {
-        let enabled = crate::knobs::probe_cache();
-        Self::with_enabled(enabled)
+        Self::with_enabled(true)
     }
 
-    /// An empty probe cache with memoization explicitly on or off
-    /// (env-independent — what the equivalence tests and benches use).
+    /// An empty probe cache with memoization explicitly on or off (the
+    /// cache-on-vs-off equivalence tests and benches turn it off).
     pub fn with_enabled(enabled: bool) -> Self {
         ProbeCache {
             enabled,

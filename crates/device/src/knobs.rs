@@ -3,46 +3,16 @@
 //! Every runtime knob that can change behaviour lives behind a typed
 //! accessor here, so the determinism surface stays auditable in one
 //! place: opclint's `env-read` rule confines `std::env::var("OPC_*")`
-//! reads to designated `knobs` modules. Knobs only toggle *strategies*
-//! (caching, fan-out, verification) — results are bit-identical across
-//! every setting; that invariant is what CI's knob matrix pins.
+//! reads to designated `knobs` modules. Knobs only choose *deployment*
+//! details (fan-out width, where calibration snapshots live) — results
+//! are bit-identical across every setting; that invariant is what CI's
+//! thread-count rows pin.
 //!
 //! | knob | accessor | default |
 //! |---|---|---|
-//! | `OPC_FUSION` | [`fusion`] | on (off only at `0`) |
-//! | `OPC_PULSE_CACHE` | [`pulse_cache`] | on (off at `0`/`off`/`false`) |
-//! | `OPC_PROBE_CACHE` | [`probe_cache`] | on (off at `0`/`off`/`false`) |
 //! | `OPC_CAL_CACHE` | [`cal_cache`] | default store under `target/` |
 //! | `OPC_OVERSUBSCRIBE` | [`oversubscribe`] | off (on only at `1`) |
 //! | `OPC_THREADS` | [`threads`] | unset (available parallelism) |
-//! | `OPC_VERIFY` | [`verify`] | on (off only at `0`) |
-
-/// `OPC_FUSION`: gate fusion in the trajectory executor. On unless the
-/// variable is set to `0`.
-pub fn fusion() -> bool {
-    match std::env::var("OPC_FUSION") {
-        Ok(v) => v != "0",
-        Err(_) => true,
-    }
-}
-
-/// `OPC_PULSE_CACHE`: the content-addressed pulse-unitary cache. Enabled
-/// unless set to `0`, `off` or `false`.
-pub fn pulse_cache() -> bool {
-    match std::env::var("OPC_PULSE_CACHE") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
-
-/// `OPC_PROBE_CACHE`: the calibration probe memo. Enabled unless set to
-/// `0`, `off` or `false`.
-pub fn probe_cache() -> bool {
-    match std::env::var("OPC_PROBE_CACHE") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
 
 /// Resolved `OPC_CAL_CACHE` setting for the persistent calibration store.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,13 +48,4 @@ pub fn threads() -> Option<usize> {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&t| t > 0)
-}
-
-/// `OPC_VERIFY`: the mandatory post-lowering schedule verification pass.
-/// On unless the variable is set to `0`.
-pub fn verify() -> bool {
-    match std::env::var("OPC_VERIFY") {
-        Ok(v) => v != "0",
-        Err(_) => true,
-    }
 }

@@ -10,7 +10,7 @@
 //!
 //! # Fast path: fused
 //!
-//! By default (`OPC_FUSION` unset or ≠ `0`) the executor hoists a
+//! The executor hoists a
 //! [`quant_sim::fusion::FusionPlan`] out of the trajectory fan-out: the
 //! program's unitary stream (SPAM flips, 1q waveform gates, 2q CR
 //! schedules) and its stochastic channel points (sampled thermal
@@ -25,29 +25,26 @@
 //! Kraus branches (`K/√p` like the reference path's per-stage
 //! renormalize), so no separate normalize sweeps remain.
 //!
-//! The random-draw *sequence* of a fused trajectory is identical to the
-//! unfused one — same draws, same order, at the same program points — so
-//! sampled counts stay bit-identical in practice across
-//! `OPC_FUSION=0/1`, across thread counts, and against the reference
-//! path (branch weights agree to rounding, and a draw landing within one
-//! ulp of a branch boundary is the same vanishing coincidence the
-//! kernel-vs-reference contract already tolerates; CI pins it).
-//!
-//! # Unfused path
-//!
-//! `OPC_FUSION=0` restores the per-gate stride-kernel route: trajectories
-//! fan over a [`ShotPool`] with one root `u64` and a
+//! Trajectories fan over a [`ShotPool`] with one root `u64` and a
 //! `stream_seed(root, index)` RNG stream per trajectory, so counts are
 //! **bit-identical at any `OPC_THREADS`** (the same contract as the shot
-//! engine and the calibration fan-out). Each worker reuses one
-//! [`StateVector`] + [`KernelScratch`]; channel branches are weighed in
-//! place (`KernelScratch::branch_weight`); and measurement outcomes are
-//! drawn by binary search on a per-trajectory cumulative distribution.
-//! [`TrajectoryExecutor::with_reference_path`] routes every state update
-//! through the retained skip-scan reference kernels and every two-qubit
-//! schedule through the per-sample reference integrator instead — the
-//! cross-check (and the perfsuite baseline) for both fast paths; it
-//! bypasses fusion entirely.
+//! engine and the calibration fan-out). Measurement outcomes are drawn by
+//! binary search on a per-trajectory cumulative distribution.
+//!
+//! # Reference path
+//!
+//! [`TrajectoryExecutor::with_reference_path`] evolves each trajectory
+//! gate by gate instead: every state update goes through the retained
+//! skip-scan reference kernels, every two-qubit schedule through the
+//! per-sample reference integrator, and every channel stage through
+//! clone-per-branch sampling. It is the oracle (and the perfsuite
+//! baseline) for the fused route. The random-draw *sequence* of a fused
+//! trajectory is identical to the reference one — same draws, same order,
+//! at the same program points — so sampled counts stay bit-identical in
+//! practice across the two routes and across thread counts (branch
+//! weights agree to rounding, and a draw landing within one ulp of a
+//! branch boundary is a vanishing coincidence; the determinism tests pin
+//! it).
 
 use crate::device::DeviceModel;
 use crate::executor::{Block, ExecError, LoweredProgram, ShotPool};
@@ -104,7 +101,7 @@ impl RtBlock {
 /// Per-worker reusable state: one state vector, one kernel scratch, the
 /// channel-weight and cumulative-distribution buffers, a memo of
 /// thermal-relaxation stages keyed by `(qubit, duration)` for the
-/// unfused path, and the runtime fused-block accumulators for the fused
+/// reference path, and the runtime fused-block accumulators for the fused
 /// path.
 struct TrajWorker {
     psi: StateVector,
@@ -199,44 +196,29 @@ pub struct TrajectoryExecutor<'a> {
     device: &'a DeviceModel,
     trajectories: usize,
     reference: bool,
-    fusion: bool,
 }
 
 impl<'a> TrajectoryExecutor<'a> {
     /// Creates an executor that averages over `trajectories` noise
-    /// realizations. Gate fusion defaults to the `OPC_FUSION`
-    /// environment knob (on unless `OPC_FUSION=0`); override it
-    /// programmatically with [`TrajectoryExecutor::with_fusion`].
+    /// realizations on the fused plan-replay route.
     pub fn new(device: &'a DeviceModel, trajectories: usize) -> Self {
         assert!(trajectories >= 1);
         TrajectoryExecutor {
             device,
             trajectories,
             reference: false,
-            fusion: crate::knobs::fusion(),
         }
     }
 
-    /// Routes every state update through the reference (skip-scan)
-    /// state-vector path instead of the stride kernels, and every two-qubit
-    /// schedule through [`crate::twoqubit::CrPair::integrate_ref`] instead
-    /// of the run-compressed integrator. Bypasses gate fusion entirely.
-    /// Slow; used by the equivalence tests and as the perfsuite baseline.
+    /// Evolves each trajectory gate by gate instead of replaying a fusion
+    /// plan: every state update goes through the reference (skip-scan)
+    /// state-vector path, and every two-qubit schedule through
+    /// [`crate::twoqubit::CrPair::integrate_ref`] instead of the
+    /// run-compressed integrator. Slow; the oracle for the equivalence
+    /// tests and the perfsuite baseline.
     pub fn with_reference_path(mut self) -> Self {
         self.reference = true;
         self
-    }
-
-    /// Forces gate fusion on or off, overriding the `OPC_FUSION`
-    /// environment default. Ignored on the reference path.
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
-        self
-    }
-
-    /// Whether this executor will take the fused path.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fusion && !self.reference
     }
 
     /// Runs the program, sampling `shots` measurement outcomes spread over
@@ -277,8 +259,8 @@ impl<'a> TrajectoryExecutor<'a> {
     /// split across trajectories by index (`shots/T` each, the first
     /// `shots % T` taking one extra), so the returned counts depend only on
     /// `(program, shots, root)` — never on the thread count. The fusion
-    /// plan (when enabled) is likewise built once, before the fan-out,
-    /// and replayed read-only by every worker.
+    /// plan (off the reference path) is likewise built once, before the
+    /// fan-out, and replayed read-only by every worker.
     pub fn try_run_pooled(
         &self,
         program: &LoweredProgram,
@@ -287,10 +269,10 @@ impl<'a> TrajectoryExecutor<'a> {
         pool: &ShotPool,
     ) -> Result<Vec<u64>, ExecError> {
         let n = program.num_qubits as usize;
-        let fused = if self.fusion_enabled() {
-            Some(self.build_plan(program)?)
-        } else {
+        let fused = if self.reference {
             None
+        } else {
+            Some(self.build_plan(program)?)
         };
         let trajectories = self.trajectories.min(shots.max(1));
         let base = shots / trajectories;
@@ -306,7 +288,7 @@ impl<'a> TrajectoryExecutor<'a> {
                 let mut rng = seeded(stream_seed(root, i as u64));
                 match &fused {
                     Some(fp) => self.evolve_fused(fp, w, &mut rng)?,
-                    None => self.evolve(program, w, &mut rng)?,
+                    None => self.evolve_ref(program, w, &mut rng)?,
                 }
                 // Per-trajectory cumulative distribution; outcomes are then
                 // one uniform draw + binary search each instead of an
@@ -342,7 +324,7 @@ impl<'a> TrajectoryExecutor<'a> {
     }
 
     /// Builds the hoisted fusion plan for one program: walks the blocks
-    /// in exactly the order [`TrajectoryExecutor::evolve`] does —
+    /// in exactly the order [`TrajectoryExecutor::evolve_ref`] does —
     /// emitting one op per random-draw site — then plans the fused
     /// blocks over that stream. Topology errors surface here, before any
     /// trajectory runs.
@@ -576,19 +558,9 @@ impl<'a> TrajectoryExecutor<'a> {
         Ok(())
     }
 
-    /// Applies a (possibly sub-unitary) operator through the selected
-    /// kernel path.
-    fn apply(&self, w: &mut TrajWorker, op: &CMat, targets: &[usize]) {
-        if self.reference {
-            w.psi.apply_unitary_ref(op, targets);
-        } else {
-            w.psi.apply_unitary_scratch(op, targets, &mut w.scratch);
-        }
-    }
-
-    /// Evolves one stochastic trajectory in the worker's reused state —
-    /// the unfused route (`OPC_FUSION=0` or the reference path).
-    fn evolve(
+    /// Evolves one stochastic trajectory in the worker's reused state,
+    /// gate by gate through the reference kernels — the oracle route.
+    fn evolve_ref(
         &self,
         program: &LoweredProgram,
         w: &mut TrajWorker,
@@ -600,7 +572,7 @@ impl<'a> TrajectoryExecutor<'a> {
         let p_reset = self.device.reset_excited_prob();
         for q in 0..n {
             if p_reset > 0.0 && rng.gen::<f64>() < p_reset {
-                self.apply(w, &quant_sim::gates::x(), &[q]);
+                w.psi.apply_unitary_ref(&quant_sim::gates::x(), &[q]);
             }
         }
         let mut cursor = vec![0u64; n];
@@ -625,7 +597,7 @@ impl<'a> TrajectoryExecutor<'a> {
                         // Sub-unitary contraction: renormalize (leakage is
                         // tiny; the deposited-weight branch is negligible
                         // at trajectory resolution).
-                        self.apply(w, &b, &[q]);
+                        w.psi.apply_unitary_ref(&b, &[q]);
                         w.psi.normalize();
                         self.relax_sampled(w, q, wave.duration(), rng);
                         cursor[q] += wave.duration();
@@ -658,22 +630,13 @@ impl<'a> TrajectoryExecutor<'a> {
                         },
                     )?;
                     let schedule = self.jitter_schedule(schedule, rng);
-                    let r = if self.reference {
-                        pair.integrate_ref(
-                            &schedule,
-                            Channel::Drive(*control),
-                            Channel::Drive(*target),
-                            u_ch,
-                        )
-                    } else {
-                        pair.integrate(
-                            &schedule,
-                            Channel::Drive(*control),
-                            Channel::Drive(*target),
-                            u_ch,
-                        )
-                    };
-                    self.apply(w, &r.unitary, &[c, t]);
+                    let r = pair.integrate_ref(
+                        &schedule,
+                        Channel::Drive(*control),
+                        Channel::Drive(*target),
+                        u_ch,
+                    );
+                    w.psi.apply_unitary_ref(&r.unitary, &[c, t]);
                     w.psi.normalize();
                     let dur = schedule.duration();
                     self.relax_sampled(w, c, dur, rng);
@@ -694,22 +657,12 @@ impl<'a> TrajectoryExecutor<'a> {
     }
 
     /// Samples one branch of the thermal-relaxation channels for a qubit
-    /// over `samples` of wall-clock time.
-    ///
-    /// Fast path: every branch of a stage is weighed in place
-    /// (`‖Kψ‖²` via [`KernelScratch::branch_weight`]) and only the chosen
-    /// operator is applied — no per-branch clone of the `O(2ⁿ)` state.
-    /// Reference path: the original clone-per-branch route.
+    /// over `samples` of wall-clock time: trial-applies every branch to a
+    /// cloned state, then keeps the sampled one.
     fn relax_sampled(&self, w: &mut TrajWorker, qubit: usize, samples: u64, rng: &mut impl Rng) {
         let p = self.device.qubit(qubit as u32);
         let t = samples as f64 * DT;
-        let TrajWorker {
-            psi,
-            scratch,
-            weights,
-            relax,
-            ..
-        } = w;
+        let TrajWorker { psi, relax, .. } = w;
         let pos = match relax
             .iter()
             .position(|(q, s, _)| *q == qubit && *s == samples)
@@ -721,34 +674,18 @@ impl<'a> TrajectoryExecutor<'a> {
             }
         };
         for stage in &relax[pos].2 {
-            if self.reference {
-                // Trial-apply every branch to a cloned state, then keep the
-                // sampled one.
-                let mut probs = Vec::with_capacity(stage.len());
-                let mut branches = Vec::with_capacity(stage.len());
-                for k in stage {
-                    let mut trial = psi.clone();
-                    let prob = trial.apply_kraus_branch_ref(k, &[qubit]);
-                    probs.push(prob.max(0.0));
-                    branches.push(trial);
-                }
-                let choice = quant_math::categorical(rng, &probs);
-                let mut chosen = branches.swap_remove(choice);
-                chosen.normalize();
-                *psi = chosen;
-            } else {
-                weights.clear();
-                for k in stage {
-                    weights.push(
-                        scratch
-                            .branch_weight(psi.amplitudes(), k, &[qubit], psi.dims())
-                            .max(0.0),
-                    );
-                }
-                let choice = quant_math::categorical(rng, weights);
-                psi.apply_unitary_scratch(&stage[choice], &[qubit], scratch);
-                psi.normalize();
+            let mut probs = Vec::with_capacity(stage.len());
+            let mut branches = Vec::with_capacity(stage.len());
+            for k in stage {
+                let mut trial = psi.clone();
+                let prob = trial.apply_kraus_branch_ref(k, &[qubit]);
+                probs.push(prob.max(0.0));
+                branches.push(trial);
             }
+            let choice = quant_math::categorical(rng, &probs);
+            let mut chosen = branches.swap_remove(choice);
+            chosen.normalize();
+            *psi = chosen;
         }
     }
 
@@ -831,16 +768,16 @@ fn fold_op(w: &mut TrajWorker, block: usize, op: &CMat, local: &[usize]) {
 /// block's reduced density (`Tr(K†K·ρ_B)` — exact for a local operator,
 /// scale-invariant for the categorical draw), sample one, and fold the
 /// chosen branch *renormalized* (`K/√p_rel`) into the accumulator — the
-/// fused equivalent of the unfused path's apply-then-normalize.
+/// fused equivalent of the reference path's apply-then-normalize.
 ///
 /// The ρ capture is exact, not approximate: before (re)capturing, every
 /// *other* open block with pending content is flushed into the state
 /// (disjoint supports commute, so early application preserves program
 /// order), and the querying block's own accumulator is conjugated on
-/// top. The branch weights therefore match the unfused path's
+/// top. The branch weights therefore match the reference path's
 /// `‖Kψ‖²` ratios to floating-point rounding, which is what keeps the
 /// categorical draws — and hence the sampled counts — aligned across
-/// the fused, unfused, and reference routes.
+/// the fused and reference routes.
 fn relax_stage_fused(
     w: &mut TrajWorker,
     block: usize,
@@ -945,7 +882,7 @@ mod tests {
         let mut rng_a = seeded(5);
         let dm = exec.run(&program, &mut rng_a);
         // Trajectory ensemble (fused path).
-        let traj = TrajectoryExecutor::new(&device, 96).with_fusion(true);
+        let traj = TrajectoryExecutor::new(&device, 96);
         let mut rng_b = seeded(6);
         let counts = traj.run(&program, 48_000, &mut rng_b);
         let total: u64 = counts.iter().sum();
@@ -959,7 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_counts_match_unfused_counts_bit_identically() {
+    fn fused_counts_match_reference_counts_bit_identically() {
         let mut rng = seeded(11);
         let device = DeviceModel::almaden_like(3, &mut rng);
         let cal = calibrate(&device, &mut rng);
@@ -988,17 +925,17 @@ mod tests {
             blocks,
             schedule: Schedule::new("ghz"),
         };
-        let pool = ShotPool::from_env();
         for root in [3u64, 0xBEEF, 0x5EED] {
-            let fused = TrajectoryExecutor::new(&device, 12)
-                .with_fusion(true)
-                .try_run_pooled(&program, 3_000, root, &pool)
+            let reference = TrajectoryExecutor::new(&device, 12)
+                .with_reference_path()
+                .try_run_pooled(&program, 3_000, root, &ShotPool::new(1))
                 .unwrap();
-            let unfused = TrajectoryExecutor::new(&device, 12)
-                .with_fusion(false)
-                .try_run_pooled(&program, 3_000, root, &pool)
-                .unwrap();
-            assert_eq!(fused, unfused, "root {root}");
+            for threads in [1, 2, 4] {
+                let fused = TrajectoryExecutor::new(&device, 12)
+                    .try_run_pooled(&program, 3_000, root, &ShotPool::new(threads))
+                    .unwrap();
+                assert_eq!(fused, reference, "root {root}, {threads} threads");
+            }
         }
     }
 

@@ -239,33 +239,10 @@ impl StateVector {
     }
 
     /// Applies one Kraus operator (not necessarily unitary) to the listed
-    /// targets and returns the branch probability `‖Kψ‖²` without
-    /// renormalizing. Combine with [`StateVector::normalize`] for
-    /// trajectory sampling.
-    pub fn apply_kraus_branch(&mut self, k: &CMat, targets: &[usize]) -> f64 {
-        let mut scratch = KernelScratch::new();
-        self.apply_kraus_branch_scratch(k, targets, &mut scratch)
-    }
-
-    /// [`StateVector::apply_kraus_branch`] with a caller-owned scratch.
-    ///
-    /// To *weigh* a branch without committing to it, use
-    /// [`KernelScratch::branch_weight`] on [`StateVector::amplitudes`] —
-    /// that is how the trajectory executor samples channels without
-    /// cloning the state per branch.
-    pub fn apply_kraus_branch_scratch(
-        &mut self,
-        k: &CMat,
-        targets: &[usize],
-        scratch: &mut KernelScratch,
-    ) -> f64 {
-        scratch.apply_state(&mut self.amps, k, targets, &self.dims);
-        let n = self.norm();
-        n * n
-    }
-
-    /// Reference implementation of [`StateVector::apply_kraus_branch`] via
-    /// the skip-scan apply. Kept for kernel cross-checks.
+    /// targets via the skip-scan apply and returns the branch probability
+    /// `‖Kψ‖²` without renormalizing. Combine with
+    /// [`StateVector::normalize`] for trajectory sampling; this is the
+    /// trajectory executor's reference-path channel step.
     pub fn apply_kraus_branch_ref(&mut self, k: &CMat, targets: &[usize]) -> f64 {
         self.apply_unitary_ref(k, targets);
         let n = self.norm();

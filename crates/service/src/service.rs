@@ -713,13 +713,6 @@ fn execute(
             pulse_compiler::LowerError::InvalidSchedule(findings) => ServiceError::Verify(findings),
             other => ServiceError::Compile(other.to_string()),
         })?;
-    // Belt and braces: re-verify the compiled schedule here so the
-    // service boundary rejects invalid work even when the in-compiler
-    // pass is disabled via `OPC_VERIFY=0` in this process.
-    let findings = quant_pulse::verify(&compiled.program.schedule, &data.device.verify_spec());
-    if !findings.is_empty() {
-        return Err(ServiceError::Verify(findings));
-    }
     let executor = if job.noisy {
         PulseExecutor::new(&data.device)
     } else {

@@ -44,15 +44,48 @@
 //! ```
 //!
 //! The parser is as defensive as the service itself: malformed frames
-//! come back as `io::ErrorKind::InvalidData`, never a panic.
+//! come back as `io::ErrorKind::InvalidData`, never a panic. Reads are
+//! bounded too: no line may exceed [`MAX_LINE_BYTES`] and no QASM or
+//! assembly body [`MAX_FRAME_BYTES`], so a peer that never sends a
+//! newline (or never ends a body) cannot grow the reader's memory.
 
 use crate::service::{CompileService, JobOutput, ServiceError};
 use crate::spec::{CircuitSource, DeviceKind, DeviceSpec, JobSpec};
 use pulse_compiler::CompileMode;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
+
+/// Longest line, newline included, either side of the protocol accepts.
+/// The widest legitimate line is a response's `counts` line: at the
+/// service's default 10-qubit ceiling that is at most 1024 twenty-digit
+/// counts, about 21 KiB.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Largest QASM body (request) or assembly body (response), in bytes,
+/// newlines included.
+pub const MAX_FRAME_BYTES: usize = 1024 * 1024;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// `read_line` that reads at most [`MAX_LINE_BYTES`]: a line that hits
+/// the cap without a newline is `InvalidData`, not an unbounded buffer.
+fn read_line<R: BufRead>(r: &mut R, buf: &mut String) -> io::Result<usize> {
+    let n = r.take(MAX_LINE_BYTES as u64).read_line(buf)?;
+    if n == MAX_LINE_BYTES && !buf.ends_with('\n') {
+        return Err(bad(format!("line longer than {MAX_LINE_BYTES} bytes")));
+    }
+    Ok(n)
+}
+
+/// Appends one body line, refusing to grow the body past
+/// [`MAX_FRAME_BYTES`].
+fn push_body(body: &mut String, line: &str) -> io::Result<()> {
+    if body.len() + line.len() > MAX_FRAME_BYTES {
+        return Err(bad(format!("body longer than {MAX_FRAME_BYTES} bytes")));
+    }
+    body.push_str(line);
+    Ok(())
 }
 
 /// Serializes a request frame.
@@ -93,7 +126,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<JobSpec>> {
     let mut header = String::new();
     loop {
         header.clear();
-        if r.read_line(&mut header)? == 0 {
+        if read_line(r, &mut header)? == 0 {
             return Ok(None);
         }
         if !header.trim().is_empty() {
@@ -111,7 +144,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<JobSpec>> {
     let mut line = String::new();
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        if read_line(r, &mut line)? == 0 {
             return Err(bad("unexpected EOF inside OPCJOB frame"));
         }
         let trimmed = line.trim();
@@ -165,13 +198,13 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<JobSpec>> {
     let mut qasm_text = String::new();
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        if read_line(r, &mut line)? == 0 {
             return Err(bad("unexpected EOF inside qasm body"));
         }
         if line.trim_end() == "." {
             break;
         }
-        qasm_text.push_str(&line);
+        push_body(&mut qasm_text, &line)?;
     }
     let device = device.ok_or_else(|| bad("OPCJOB frame missing a device line"))?;
     Ok(Some(JobSpec {
@@ -251,7 +284,7 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<WireResponse> {
     let mut header = String::new();
     loop {
         header.clear();
-        if r.read_line(&mut header)? == 0 {
+        if read_line(r, &mut header)? == 0 {
             return Err(bad("unexpected EOF before OPCRESULT"));
         }
         if !header.trim().is_empty() {
@@ -265,7 +298,7 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<WireResponse> {
         let mut message = String::new();
         loop {
             line.clear();
-            if r.read_line(&mut line)? == 0 {
+            if read_line(r, &mut line)? == 0 {
                 return Err(bad("unexpected EOF inside error frame"));
             }
             let trimmed = line.trim_end();
@@ -292,7 +325,7 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<WireResponse> {
     };
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        if read_line(r, &mut line)? == 0 {
             return Err(bad("unexpected EOF inside ok frame"));
         }
         let trimmed = line.trim_end();
@@ -341,13 +374,13 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<WireResponse> {
             }
             Some("assembly") => loop {
                 line.clear();
-                if r.read_line(&mut line)? == 0 {
+                if read_line(r, &mut line)? == 0 {
                     return Err(bad("unexpected EOF inside assembly body"));
                 }
                 if line.trim_end() == "." {
                     break;
                 }
-                out.assembly_qasm.push_str(&line);
+                push_body(&mut out.assembly_qasm, &line)?;
             },
             other => return Err(bad(format!("unknown OPCRESULT field {other:?}"))),
         }
@@ -453,5 +486,59 @@ mod tests {
         }
         let mut r = BufReader::new("OPCRESULT ok\nbogus field\nend\n".as_bytes());
         assert!(read_response(&mut r).is_err());
+    }
+
+    fn assert_invalid_data<T: std::fmt::Debug>(result: io::Result<T>, what: &str) {
+        match result {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}"),
+            Ok(v) => panic!("{what}: accepted {v:?}"),
+        }
+    }
+
+    #[test]
+    fn line_without_newline_is_capped() {
+        // A peer that never sends `\n`: an endless stream must be refused
+        // after MAX_LINE_BYTES, in the header and inside a frame alike.
+        let mut r = BufReader::new(io::repeat(b'A'));
+        assert_invalid_data(read_request(&mut r), "endless header");
+        let head = "OPCJOB 1\ndevice almaden 2 7\nqasm\n".as_bytes();
+        let mut r = BufReader::new(head.chain(io::repeat(b'h')));
+        assert_invalid_data(read_request(&mut r), "endless qasm line");
+        let head = "OPCRESULT ok\ncounts 1".as_bytes();
+        let mut r = BufReader::new(head.chain(io::repeat(b'0')));
+        assert_invalid_data(read_response(&mut r), "endless counts line");
+    }
+
+    #[test]
+    fn body_over_the_frame_cap_is_refused() {
+        // Short lines that never end the body: refused once the body
+        // would pass MAX_FRAME_BYTES.
+        let head = "OPCJOB 1\ndevice almaden 2 7\nqasm\n".as_bytes();
+        let mut r = BufReader::new(head.chain(io::repeat(b'\n')));
+        assert_invalid_data(read_request(&mut r), "endless qasm body");
+        let head = "OPCRESULT ok\nassembly\n".as_bytes();
+        let mut r = BufReader::new(head.chain(io::repeat(b'\n')));
+        assert_invalid_data(read_response(&mut r), "endless assembly body");
+    }
+
+    #[test]
+    fn frame_at_exactly_the_caps_still_parses() {
+        // Every body line is exactly MAX_LINE_BYTES (newline included) and
+        // the body is exactly MAX_FRAME_BYTES: both caps are inclusive.
+        let line = format!("{}\n", "x".repeat(MAX_LINE_BYTES - 1));
+        let body = line.repeat(MAX_FRAME_BYTES / MAX_LINE_BYTES);
+        assert_eq!(body.len(), MAX_FRAME_BYTES);
+        let mut big = spec();
+        big.circuit = CircuitSource::Qasm(body.clone());
+        let mut buf = Vec::new();
+        write_request(&mut buf, &big).unwrap();
+        let parsed = read_request(&mut BufReader::new(&buf[..])).unwrap();
+        assert_eq!(parsed, Some(big));
+        // One byte more and the same frame is refused.
+        let mut bigger = spec();
+        bigger.circuit = CircuitSource::Qasm(format!("{body}\n"));
+        let mut buf = Vec::new();
+        write_request(&mut buf, &bigger).unwrap();
+        assert_invalid_data(read_request(&mut BufReader::new(&buf[..])), "cap + 1");
     }
 }
