@@ -154,26 +154,19 @@ fn cmd_serve(rest: &[String]) -> ! {
 
 struct SubmitArgs {
     addr: Option<String>,
-    device: DeviceKind,
     qubits: Option<u32>,
-    device_seed: u64,
-    seed: u64,
-    shots: usize,
-    noisy: bool,
-    mode: CompileMode,
+    /// Every file's job apart from its program and width.
+    job: JobSpec,
     paths: Vec<String>,
 }
 
 fn parse_submit_args(rest: &[String]) -> Result<SubmitArgs, String> {
+    // Device and job share the default seed, as in `opc compile`.
+    let device = DeviceSpec::new(DeviceKind::Almaden, 1, PipelineConfig::default().seed);
     let mut args = SubmitArgs {
         addr: None,
-        device: DeviceKind::Almaden,
         qubits: None,
-        device_seed: 7,
-        seed: 7,
-        shots: 4000,
-        noisy: true,
-        mode: CompileMode::Optimized,
+        job: JobSpec::qasm(device, ""),
         paths: Vec::new(),
     };
     let mut iter = rest.iter();
@@ -187,7 +180,7 @@ fn parse_submit_args(rest: &[String]) -> Result<SubmitArgs, String> {
             "--addr" => args.addr = Some(take("--addr")?),
             "--device" => {
                 let v = take("--device")?;
-                args.device = DeviceKind::parse(&v)
+                args.job.device.kind = DeviceKind::parse(&v)
                     .ok_or_else(|| format!("unknown device `{v}` (armonk|almaden)"))?;
             }
             "--qubits" => {
@@ -198,22 +191,22 @@ fn parse_submit_args(rest: &[String]) -> Result<SubmitArgs, String> {
                 )
             }
             "--device-seed" => {
-                args.device_seed = take("--device-seed")?
+                args.job.device.seed = take("--device-seed")?
                     .parse()
                     .map_err(|_| "--device-seed needs an integer".to_string())?
             }
             "--seed" => {
-                args.seed = take("--seed")?
+                args.job.seed = take("--seed")?
                     .parse()
                     .map_err(|_| "--seed needs an integer".to_string())?
             }
             "--shots" => {
-                args.shots = take("--shots")?
+                args.job.shots = take("--shots")?
                     .parse()
                     .map_err(|_| "--shots needs an integer".to_string())?
             }
-            "--noiseless" => args.noisy = false,
-            "--standard" => args.mode = CompileMode::Standard,
+            "--noiseless" => args.job.noisy = false,
+            "--standard" => args.job.mode = CompileMode::Standard,
             other if !other.starts_with('-') => args.paths.push(other.to_string()),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -229,14 +222,7 @@ fn print_output(path: &str, out: &quant_service::JobOutput) {
         "{path}: ok — key {:016x}, {} pulses, {} dt, fidelity {:.4}",
         out.key, out.pulse_count, out.duration_dt, out.fidelity
     );
-    for (idx, &c) in out.counts.iter().enumerate() {
-        if c > 0 {
-            let bits: String = (0..out.num_qubits)
-                .map(|q| if (idx >> q) & 1 == 1 { '1' } else { '0' })
-                .collect();
-            println!("  |{bits}⟩ (q0 first): {c}");
-        }
-    }
+    print_counts(&out.counts, out.num_qubits);
 }
 
 /// `opc submit`: jobs to a remote server, or through an in-process
@@ -260,15 +246,9 @@ fn cmd_submit(rest: &[String]) -> ! {
                 let qubits = args
                     .qubits
                     .or_else(|| qasm::parse(&source).ok().map(|c| c.num_qubits()));
-                let device = DeviceSpec::new(args.device, qubits.unwrap_or(1), args.device_seed);
-                let spec = JobSpec {
-                    device,
-                    circuit: quant_service::CircuitSource::Qasm(source),
-                    mode: args.mode,
-                    shots: args.shots,
-                    seed: args.seed,
-                    noisy: args.noisy,
-                };
+                let mut spec = args.job.clone();
+                spec.device.qubits = qubits.unwrap_or(1);
+                spec.circuit = quant_service::CircuitSource::Qasm(source);
                 Some((path.clone(), spec))
             }
             Err(e) => {
@@ -362,7 +342,6 @@ fn cmd_compile(rest: &[String]) -> ! {
     let die = die_compile;
     let mut config = PipelineConfig::default();
     let mut path: Option<String> = None;
-    let mut device_seed = 7u64;
     let mut trajectories_requested = false;
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
@@ -387,8 +366,7 @@ fn cmd_compile(rest: &[String]) -> ! {
             "--seed" => {
                 config.seed = take("--seed")
                     .parse()
-                    .unwrap_or_else(|_| die("--seed needs an integer"));
-                device_seed = config.seed;
+                    .unwrap_or_else(|_| die("--seed needs an integer"))
             }
             "--trajectories" => {
                 config.trajectories = take("--trajectories")
@@ -422,7 +400,8 @@ fn cmd_compile(rest: &[String]) -> ! {
             std::process::exit(1);
         }
     };
-    let mut rng = seeded(device_seed);
+    // One seed draws both the device and the job.
+    let mut rng = seeded(config.seed);
     let device = DeviceModel::almaden_like(circuit.num_qubits() as usize, &mut rng);
     let calibration = calibrate(&device, &mut rng);
     let run = match quant_corpus::run_circuit(

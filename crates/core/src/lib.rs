@@ -20,7 +20,8 @@
 //!    augmented-basis-gate detection — keep user code hardware-agnostic.
 //!
 //! Entry point: [`Compiler`] with [`CompileMode::Standard`] (the baseline
-//! flow) or [`CompileMode::Optimized`].
+//! flow) or [`CompileMode::Optimized`]; [`pipeline`] is the compile→execute
+//! spine every front end shares.
 //!
 //! ```no_run
 //! use pulse_compiler::{CompileMode, Compiler};
@@ -49,6 +50,7 @@ pub mod decompose;
 pub mod kak;
 pub mod lower;
 pub mod passes;
+pub mod pipeline;
 pub mod routing;
 pub mod translate;
 

@@ -7,11 +7,12 @@
 //!    adders, random Cliffords, QAOA and VQE lines) at growing widths;
 //!    [`generators::generate`] yields the fixed corpus for a
 //!    [`generators::Tier`].
-//! 2. [`pipeline`] — QASM (or a built circuit) → linear-chain routing →
-//!    gate-level or pulse-level compilation (`pulse-compiler`) → density
-//!    or trajectory execution (`quant-device`) → counts + Hellinger
-//!    fidelity. Shared by the `opc compile` CLI, the corpus runner, and
-//!    the service-conformance tests.
+//! 2. [`pipeline`] — QASM (or a built circuit) → the compile→execute
+//!    spine in `pulse_compiler::pipeline` (linear-chain routing,
+//!    gate-level or pulse-level compilation, density or trajectory
+//!    execution; re-exported here) → counts + Hellinger fidelity. The
+//!    spine is shared with the service, so `opc compile`, the corpus
+//!    runner and `opc submit` give the same counts.
 //! 3. [`report`] + [`golden`] — run every corpus circuit under both
 //!    flows ([`report::run_corpus`]), emit the comparative JSON/markdown
 //!    report, and render/diff the bit-exact golden summaries that back

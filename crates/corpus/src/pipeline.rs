@@ -1,131 +1,13 @@
-//! The one-shot `opc compile` pipeline: QASM (or a built circuit) →
-//! routing → gate/pulse compilation → simulated execution → counts and
-//! fidelity.
-//!
-//! This is the shared spine under the `opc compile` CLI subcommand and the
-//! corpus platform in [`crate::report`]: one function owns the
-//! parse → route → compile → execute → score sequence so the two callers
-//! (and the service frontend, via the conformance tests) cannot drift.
-//!
-//! Everything is deterministic from `(device, calibration, circuit,
-//! config)`: jitter, sampling, and trajectory roots are derived from the
-//! config seed via [`quant_math::stream_seed`], and wide-register runs go
-//! through [`TrajectoryExecutor::try_run_pooled`] with an explicit root,
-//! so counts are bit-identical at any `OPC_THREADS`.
+//! [`pulse_compiler::pipeline`] (re-exported) plus parsing and Hellinger
+//! scoring: the one-shot `opc compile` pipeline.
 
-use pulse_compiler::{route, CompileMode, Compiled, Compiler, CouplingMap, LowerError, RouteError};
+pub use pulse_compiler::pipeline::{
+    compile_circuit, execute_compiled, CompiledCircuit, ExecutorKind, PipelineConfig, PipelineError,
+};
+use pulse_compiler::{CompileMode, Compiled};
 use quant_char::{counts_to_distribution, hellinger_fidelity};
 use quant_circuit::{qasm, Circuit};
-use quant_device::{
-    Calibration, DeviceModel, ExecError, PulseExecutor, ShotPool, TrajectoryExecutor,
-};
-use quant_math::{seeded, stream_seed};
-
-/// Any failure along the pipeline, tagged by stage.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PipelineError {
-    /// The QASM frontend rejected the program.
-    Parse(qasm::QasmError),
-    /// Routing failed (circuit wider than the device, or disconnected).
-    Route(RouteError),
-    /// Lowering to pulses failed.
-    Lower(LowerError),
-    /// Execution failed (topology mismatch).
-    Exec(ExecError),
-}
-
-impl std::fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineError::Parse(e) => write!(f, "parse: {e}"),
-            PipelineError::Route(e) => write!(f, "route: {e}"),
-            PipelineError::Lower(e) => write!(f, "lower: {e}"),
-            PipelineError::Exec(e) => write!(f, "execute: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {}
-
-impl From<qasm::QasmError> for PipelineError {
-    fn from(e: qasm::QasmError) -> Self {
-        PipelineError::Parse(e)
-    }
-}
-
-impl From<RouteError> for PipelineError {
-    fn from(e: RouteError) -> Self {
-        PipelineError::Route(e)
-    }
-}
-
-impl From<LowerError> for PipelineError {
-    fn from(e: LowerError) -> Self {
-        PipelineError::Lower(e)
-    }
-}
-
-impl From<ExecError> for PipelineError {
-    fn from(e: ExecError) -> Self {
-        PipelineError::Exec(e)
-    }
-}
-
-/// Which simulation backend executed the program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// Full density-matrix evolution (exact noise, O(4ⁿ); small registers).
-    Density,
-    /// Stochastic state-vector trajectories (wide registers).
-    Trajectory,
-}
-
-impl ExecutorKind {
-    /// Stable lower-case name used in reports and golden files.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutorKind::Density => "density",
-            ExecutorKind::Trajectory => "trajectory",
-        }
-    }
-}
-
-/// Pipeline knobs.
-#[derive(Clone, Debug)]
-pub struct PipelineConfig {
-    /// Gate-level (`Standard`) vs pulse-level (`Optimized`) compilation.
-    pub mode: CompileMode,
-    /// Measurement shots to sample.
-    pub shots: usize,
-    /// Root seed; jitter, sampling, and trajectory streams are derived
-    /// from it with [`stream_seed`].
-    pub seed: u64,
-    /// Apply the device noise model (density path only; trajectories are
-    /// inherently noisy).
-    pub noisy: bool,
-    /// Widest register the density path will take; wider programs run as
-    /// trajectories. O(4ⁿ) memory makes 6 the practical ceiling.
-    pub density_max_qubits: u32,
-    /// Trajectory count for the wide path.
-    pub trajectories: usize,
-    /// Route both executors through their retained reference
-    /// implementations (slow; equivalence tests only).
-    pub reference: bool,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            mode: CompileMode::Optimized,
-            shots: 2048,
-            seed: 7,
-            noisy: true,
-            density_max_qubits: 6,
-            trajectories: 16,
-            reference: false,
-        }
-    }
-}
+use quant_device::{Calibration, DeviceModel, ShotPool};
 
 /// The result of one pipeline run.
 #[derive(Clone, Debug)]
@@ -152,73 +34,6 @@ pub struct PipelineRun {
     pub ideal: Vec<f64>,
     /// Hellinger fidelity of the measured counts against `ideal`.
     pub fidelity: f64,
-}
-
-/// The compile half of the pipeline: a routed physical circuit plus its
-/// pulse program. Produced by [`compile_circuit`], consumed by
-/// [`execute_compiled`] — split so callers (the corpus report) can put a
-/// wall-clock around compilation alone.
-#[derive(Clone, Debug)]
-pub struct CompiledCircuit {
-    /// The routed physical circuit and layout.
-    pub routed: pulse_compiler::Routed,
-    /// Every compilation stage (assembly, basis circuit, pulse program).
-    pub compiled: Compiled,
-}
-
-/// Routes a logical circuit onto the device's linear chain (the
-/// Almaden-like model couples neighbors only) and compiles it to pulses.
-pub fn compile_circuit(
-    device: &DeviceModel,
-    calibration: &Calibration,
-    circuit: &Circuit,
-    mode: CompileMode,
-) -> Result<CompiledCircuit, PipelineError> {
-    let map = CouplingMap::linear(device.num_qubits() as u32);
-    let routed = route(circuit, &map)?;
-    let compiler = Compiler::new(device, calibration, mode);
-    let compiled = compiler.compile(&routed.circuit)?;
-    Ok(CompiledCircuit { routed, compiled })
-}
-
-/// Executes a compiled circuit and scores it against the routed circuit's
-/// ideal distribution. Registers up to `config.density_max_qubits` wide go
-/// through exact density-matrix evolution; wider ones through
-/// pool-parallel trajectories with an explicit root seed.
-pub fn execute_compiled(
-    device: &DeviceModel,
-    cc: &CompiledCircuit,
-    config: &PipelineConfig,
-    pool: &ShotPool,
-) -> Result<(ExecutorKind, Vec<u64>), PipelineError> {
-    let compiled = &cc.compiled;
-    let width = cc.routed.circuit.num_qubits();
-    if width <= config.density_max_qubits {
-        let mut exec = if config.noisy {
-            PulseExecutor::new(device)
-        } else {
-            PulseExecutor::noiseless(device)
-        };
-        if config.reference {
-            exec = exec.with_reference_path();
-        }
-        let mut jitter = seeded(stream_seed(config.seed, 0));
-        let outcome = exec.try_run(&compiled.program, &mut jitter)?;
-        let counts = outcome.sample_counts_deterministic(stream_seed(config.seed, 1), config.shots);
-        Ok((ExecutorKind::Density, counts))
-    } else {
-        let mut exec = TrajectoryExecutor::new(device, config.trajectories);
-        if config.reference {
-            exec = exec.with_reference_path();
-        }
-        let counts = exec.try_run_pooled(
-            &compiled.program,
-            config.shots,
-            stream_seed(config.seed, 2),
-            pool,
-        )?;
-        Ok((ExecutorKind::Trajectory, counts))
-    }
 }
 
 /// Runs a logical circuit through route → compile → execute → score.
@@ -265,7 +80,9 @@ pub fn run_qasm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pulse_compiler::RouteError;
     use quant_device::calibrate;
+    use quant_math::seeded;
 
     fn setup(n: usize) -> (DeviceModel, Calibration) {
         let mut rng = seeded(71);

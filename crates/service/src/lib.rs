@@ -32,13 +32,17 @@
 //!   burst of traffic against one device amortizes the shard lookup and
 //!   keeps its caches hot instead of interleaving devices across workers.
 //!
+//! **One spine.** Workers compile and execute through
+//! [`pulse_compiler::pipeline`], like `opc compile` and the corpus: jobs
+//! are routed, wide jobs run as trajectories (serially inside a worker),
+//! and job defaults are the spine's `PipelineConfig::default()`.
+//!
 //! **Determinism contract.** Every job's result is a pure function of its
-//! spec: execution randomness comes from `seeded(stream_seed(job.seed,
-//! EXEC_STREAM))`, sampling from `sample_counts_deterministic(job.seed,
-//! shots)`, and shard state from the device spec alone. Scheduling,
+//! spec: execution randomness comes from the spine's seed lanes of
+//! `job.seed` and shard state from the device spec alone. Scheduling,
 //! batching and worker count therefore cannot change any output —
 //! results are bit-identical at any `workers` setting for a fixed spec,
-//! the same contract `ShotPool` gives shot fan-out.
+//! and equal to `opc compile`'s for the same program, device and seed.
 //!
 //! ```
 //! use quant_service::{CompileService, DeviceKind, DeviceSpec, JobSpec, ServiceConfig};
@@ -55,7 +59,7 @@
 //!     ))
 //!     .unwrap();
 //! let out = ticket.wait().unwrap();
-//! assert_eq!(out.counts.iter().sum::<u64>(), 4000);
+//! assert_eq!(out.counts.iter().sum::<u64>(), 2048);
 //! ```
 
 mod service;

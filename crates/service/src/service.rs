@@ -1,25 +1,19 @@
 //! The job engine: bounded queue, worker pool, dedup, shards, batching.
 
 use crate::spec::{job_key, CircuitSource, DeviceSpec, JobSpec};
-use pulse_compiler::Compiler;
+use pulse_compiler::pipeline::{compile_circuit, execute_compiled, PipelineConfig, PipelineError};
+use pulse_compiler::LowerError;
 use quant_char::{counts_to_distribution, hellinger_fidelity};
 use quant_circuit::qasm::{self, QasmError};
 use quant_circuit::Circuit;
 use quant_device::{
-    CalStore, Calibration, CalibrationOptions, DeviceModel, ExecError, ProbeCache, PulseExecutor,
-    ShotPool,
+    CalStore, Calibration, CalibrationOptions, DeviceModel, ExecError, ProbeCache, ShotPool,
 };
-use quant_math::{seeded, stream_seed};
 use quant_pulse::ScheduleFinding;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-
-/// The RNG stream index jobs draw execution randomness from
-/// (`seeded(stream_seed(job.seed, EXEC_STREAM))`), held apart from index 0
-/// so a job seed never aliases its own raw `seeded(seed)` stream.
-const EXEC_STREAM: u64 = 0x5eb;
 
 /// Everything that can go wrong with a job, as a value. The service never
 /// panics on untrusted input or load: malformed programs come back as
@@ -38,7 +32,7 @@ pub enum ServiceError {
     Parse(QasmError),
     /// The request is structurally invalid for the target device.
     InvalidRequest(String),
-    /// Lowering failed (e.g. a two-qubit gate on an uncoupled pair).
+    /// Lowering failed (e.g. a gate with no pulse lowering).
     Compile(String),
     /// The compiled schedule failed static verification; the job is
     /// rejected before any simulation work is spent on it.
@@ -79,6 +73,21 @@ impl fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+impl From<PipelineError> for ServiceError {
+    fn from(e: PipelineError) -> Self {
+        match e {
+            PipelineError::Parse(e) => ServiceError::Parse(e),
+            PipelineError::Lower(LowerError::InvalidSchedule(f)) => ServiceError::Verify(f),
+            PipelineError::Lower(other) => ServiceError::Compile(other.to_string()),
+            PipelineError::Exec(e) => ServiceError::Exec(e),
+            // Route errors are the width check `resolve` already makes.
+            e @ (PipelineError::Route(_) | PipelineError::NoiselessTooWide { .. }) => {
+                ServiceError::InvalidRequest(e.to_string())
+            }
+        }
+    }
+}
 
 /// Service tuning knobs.
 #[derive(Clone)]
@@ -259,10 +268,7 @@ impl JobSlot {
 struct ResolvedJob {
     device: DeviceSpec,
     circuit: Circuit,
-    mode: pulse_compiler::CompileMode,
-    shots: usize,
-    seed: u64,
-    noisy: bool,
+    config: PipelineConfig,
 }
 
 struct Pending {
@@ -275,10 +281,6 @@ struct Pending {
 struct ShardData {
     device: DeviceModel,
     calibration: Calibration,
-}
-
-struct Shard {
-    data: OnceLock<ShardData>,
 }
 
 struct QueueState {
@@ -302,7 +304,7 @@ struct ServiceInner {
     work_cv: Condvar,
     // Device-spec key → shard. Lookup/insert by key only — never iterated.
     // opclint: allow(unordered-iter): shard index; per-key lookups only, no iteration
-    shards: Mutex<HashMap<u64, Arc<Shard>>>,
+    shards: Mutex<HashMap<u64, Arc<OnceLock<ShardData>>>>,
     /// Noiseless tune-up probes shared across all shards, so two devices
     /// drawn with overlapping parameters reuse each other's integrations.
     probes: ProbeCache,
@@ -395,13 +397,14 @@ impl CompileService {
     /// completes the computation.
     pub fn submit(&self, spec: JobSpec) -> Result<Ticket, ServiceError> {
         let job = self.resolve(spec)?;
+        let cfg = &job.config;
         let key = job_key(
             &job.device,
             &job.circuit,
-            job.mode,
-            job.shots,
-            job.seed,
-            job.noisy,
+            cfg.mode,
+            cfg.shots,
+            cfg.seed,
+            cfg.noisy,
         );
         let mut st = lock(&self.inner.state);
         if st.shutdown {
@@ -558,10 +561,13 @@ impl CompileService {
         Ok(ResolvedJob {
             device: spec.device,
             circuit,
-            mode: spec.mode,
-            shots: spec.shots,
-            seed: spec.seed,
-            noisy: spec.noisy,
+            config: PipelineConfig {
+                mode: spec.mode,
+                shots: spec.shots,
+                seed: spec.seed,
+                noisy: spec.noisy,
+                ..PipelineConfig::default()
+            },
         })
     }
 }
@@ -634,9 +640,11 @@ fn drain_one(inner: &ServiceInner) -> bool {
     if batch.len() > 1 {
         inner.batches.fetch_add(1, Ordering::Relaxed);
     }
-    let shard = shard_for(inner, &batch[0].job.device);
+    let device = batch[0].job.device;
+    let shard = shard_for(inner, &device);
+    let data = shard.get_or_init(|| calibrate_shard(inner, &device));
     for pending in batch {
-        let result = execute(inner, &shard, &pending.job);
+        let result = execute(inner, data, &pending.job, pending.key);
         inner.completed.fetch_add(1, Ordering::Relaxed);
         {
             let mut st = lock(&inner.state);
@@ -659,87 +667,60 @@ fn drain_one(inner: &ServiceInner) -> bool {
     true
 }
 
-/// Gets or builds the calibration shard for a device spec. The map lock
-/// covers only the `Arc<Shard>` lookup; the expensive build runs inside
-/// the shard's own `OnceLock`, so concurrent workers needing the same
-/// device block on one tune-up instead of racing duplicates, while
-/// workers on other shards proceed untouched.
-fn shard_for(inner: &ServiceInner, spec: &DeviceSpec) -> Arc<Shard> {
-    let key = spec.shard_key();
-    let shard = {
-        let mut shards = lock(&inner.shards);
-        Arc::clone(shards.entry(key).or_insert_with(|| {
-            Arc::new(Shard {
-                data: OnceLock::new(),
-            })
-        }))
-    };
-    shard.data.get_or_init(|| {
-        let (device, root) = spec.build();
-        let calibration = Calibration::run_seeded_with(
-            &device,
-            &CalibrationOptions::default(),
-            root,
-            &CalStore::from_env(),
-            &ShotPool::from_env(),
-            &inner.probes,
-        );
-        ShardData {
-            device,
-            calibration,
-        }
-    });
-    shard
+/// The calibration shard slot for a device spec. The map lock covers only
+/// the lookup; the caller builds the shard inside the slot's own
+/// `OnceLock`, so concurrent workers needing the same device block on one
+/// tune-up instead of racing duplicates, while workers on other shards
+/// proceed untouched.
+fn shard_for(inner: &ServiceInner, spec: &DeviceSpec) -> Arc<OnceLock<ShardData>> {
+    Arc::clone(lock(&inner.shards).entry(spec.shard_key()).or_default())
 }
 
-/// Compile + execute + sample one job against its shard. Pure function of
-/// `(shard data, job)`: randomness comes from the job's own seed streams,
-/// so the result is independent of which worker runs it, when, and in
-/// which batch.
+/// Builds a shard's warm state: the device and its calibration.
+fn calibrate_shard(inner: &ServiceInner, spec: &DeviceSpec) -> ShardData {
+    let (device, root) = spec.build();
+    let calibration = Calibration::run_seeded_with(
+        &device,
+        &CalibrationOptions::default(),
+        root,
+        &CalStore::from_env(),
+        &ShotPool::from_env(),
+        &inner.probes,
+    );
+    ShardData {
+        device,
+        calibration,
+    }
+}
+
+/// Compile + execute + sample one job against its shard through the
+/// [`pulse_compiler::pipeline`] spine. Pure function of `(shard data,
+/// job)`: randomness comes from the job's own seed lanes, so the result is
+/// independent of which worker runs it, when, and in which batch.
 fn execute(
     inner: &ServiceInner,
-    shard: &Shard,
+    data: &ShardData,
     job: &ResolvedJob,
+    key: u64,
 ) -> Result<Arc<JobOutput>, ServiceError> {
-    let Some(data) = shard.data.get() else {
-        // Unreachable: `shard_for` initializes before handing the shard
-        // out. Kept as a typed error rather than an unwrap.
-        return Err(ServiceError::InvalidRequest("shard not initialized".into()));
-    };
     inner.compiles.fetch_add(1, Ordering::Relaxed);
-    let compiled = Compiler::new(&data.device, &data.calibration, job.mode)
-        .compile(&job.circuit)
-        .map_err(|e| match e {
-            pulse_compiler::LowerError::InvalidSchedule(findings) => ServiceError::Verify(findings),
-            other => ServiceError::Compile(other.to_string()),
-        })?;
-    let executor = if job.noisy {
-        PulseExecutor::new(&data.device)
-    } else {
-        PulseExecutor::noiseless(&data.device)
-    };
-    let mut rng = seeded(stream_seed(job.seed, EXEC_STREAM));
-    let outcome = executor
-        .try_run(&compiled.program, &mut rng)
-        .map_err(ServiceError::Exec)?;
-    let counts = outcome.sample_counts_deterministic(job.seed, job.shots);
-    let ideal = job.circuit.output_distribution();
-    let measured = counts_to_distribution(&counts);
-    let fidelity = hellinger_fidelity(&ideal, &measured);
-    let key = job_key(
-        &job.device,
+    let cc = compile_circuit(
+        &data.device,
+        &data.calibration,
         &job.circuit,
-        job.mode,
-        job.shots,
-        job.seed,
-        job.noisy,
-    );
+        job.config.mode,
+    )?;
+    // The worker pool is the service's parallelism, so trajectories run
+    // serially inside a job; counts do not depend on the pool size.
+    let (_, counts) = execute_compiled(&data.device, &cc, &job.config, &ShotPool::serial())?;
+    let ideal = cc.routed.circuit.output_distribution();
+    let fidelity = hellinger_fidelity(&ideal, &counts_to_distribution(&counts));
     Ok(Arc::new(JobOutput {
         key,
-        num_qubits: job.circuit.num_qubits(),
-        assembly_qasm: qasm::print(&compiled.basis),
-        duration_dt: compiled.duration(),
-        pulse_count: compiled.pulse_count(),
+        num_qubits: cc.routed.circuit.num_qubits(),
+        assembly_qasm: qasm::print(&cc.compiled.basis),
+        duration_dt: cc.compiled.duration(),
+        pulse_count: cc.compiled.pulse_count(),
         counts,
         fidelity,
         completed_tick: inner.cfg.clock.as_ref().map_or(0, |clock| clock()),

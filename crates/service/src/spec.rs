@@ -1,5 +1,6 @@
 //! Job specifications and their content-addressed keys.
 
+use pulse_compiler::pipeline::PipelineConfig;
 use pulse_compiler::CompileMode;
 use quant_circuit::{Circuit, Gate};
 use quant_device::DeviceModel;
@@ -8,7 +9,7 @@ use quant_math::seeded;
 /// Bumped whenever the service's execution semantics change, so stale
 /// dedup keys from older algorithm versions can never alias new results
 /// (mirrors `CAL_ALGO_VERSION` on calibration snapshots).
-pub const SERVICE_ALGO_VERSION: u64 = 1;
+pub const SERVICE_ALGO_VERSION: u64 = 2;
 
 /// Which simulated backend family a job targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,10 +84,10 @@ impl DeviceSpec {
     }
 
     /// Builds the device model and the calibration root seed. The RNG
-    /// draw order matches the `opc` CLI (device parameters first, then
+    /// draw order matches `opc compile` (device parameters first, then
     /// one `u64` for the calibration root), so a service job on
-    /// `(Almaden, n, seed)` sees exactly the device `opc --seed seed`
-    /// builds.
+    /// `(Almaden, n, seed)` sees exactly the device `opc compile --seed
+    /// seed` builds for an `n`-qubit program.
     pub fn build(&self) -> (DeviceModel, u64) {
         use rand::Rng;
         let mut rng = seeded(self.seed);
@@ -127,28 +128,26 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A QASM job with the service defaults: optimized flow, 4000 noisy
-    /// shots, seed 7.
+    /// A QASM job with the pipeline defaults ([`PipelineConfig::default`]:
+    /// optimized flow, 2048 noisy shots, seed 7).
     pub fn qasm(device: DeviceSpec, source: impl Into<String>) -> Self {
-        JobSpec {
-            device,
-            circuit: CircuitSource::Qasm(source.into()),
-            mode: CompileMode::Optimized,
-            shots: 4000,
-            seed: 7,
-            noisy: true,
-        }
+        Self::with_defaults(device, CircuitSource::Qasm(source.into()))
     }
 
     /// An IR job with the same defaults as [`JobSpec::qasm`].
     pub fn ir(device: DeviceSpec, circuit: Circuit) -> Self {
+        Self::with_defaults(device, CircuitSource::Ir(circuit))
+    }
+
+    fn with_defaults(device: DeviceSpec, circuit: CircuitSource) -> Self {
+        let defaults = PipelineConfig::default();
         JobSpec {
             device,
-            circuit: CircuitSource::Ir(circuit),
-            mode: CompileMode::Optimized,
-            shots: 4000,
-            seed: 7,
-            noisy: true,
+            circuit,
+            mode: defaults.mode,
+            shots: defaults.shots,
+            seed: defaults.seed,
+            noisy: defaults.noisy,
         }
     }
 }

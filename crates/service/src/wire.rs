@@ -6,7 +6,7 @@
 //! OPCJOB 1
 //! device almaden 2 7
 //! mode optimized
-//! shots 4000
+//! shots 2048
 //! seed 7
 //! noisy 1
 //! qasm
@@ -26,7 +26,7 @@
 //! duration_dt 13536
 //! pulses 9
 //! fidelity 0.98 3fef5c28f5c28f5c
-//! counts 1943 12 38 2007
+//! counts 995 6 20 1027
 //! assembly
 //! OPENQASM 2.0;
 //! ...
@@ -51,6 +51,7 @@
 
 use crate::service::{CompileService, JobOutput, ServiceError};
 use crate::spec::{CircuitSource, DeviceKind, DeviceSpec, JobSpec};
+use pulse_compiler::pipeline::PipelineConfig;
 use pulse_compiler::CompileMode;
 use std::io::{self, BufRead, Read, Write};
 
@@ -137,10 +138,10 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<JobSpec>> {
         return Err(bad(format!("expected `OPCJOB 1`, got `{}`", header.trim())));
     }
     let mut device = None;
-    let mut mode = CompileMode::Optimized;
-    let mut shots = 4000usize;
-    let mut seed = 7u64;
-    let mut noisy = true;
+    // Omitted fields take the pipeline defaults, as `JobSpec::qasm` does.
+    let defaults = PipelineConfig::default();
+    let (mut mode, mut shots, mut seed, mut noisy) =
+        (defaults.mode, defaults.shots, defaults.seed, defaults.noisy);
     let mut line = String::new();
     loop {
         line.clear();
@@ -433,6 +434,16 @@ mod tests {
         assert_eq!(parsed, spec());
         // EOF after the single frame.
         assert_eq!(read_request(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn omitted_fields_take_the_job_defaults() {
+        let frame = "OPCJOB 1\ndevice almaden 2 7\nqasm\nqreg q[2];\n.\n";
+        let parsed = read_request(&mut BufReader::new(frame.as_bytes()))
+            .unwrap()
+            .unwrap();
+        let device = DeviceSpec::new(DeviceKind::Almaden, 2, 7);
+        assert_eq!(parsed, JobSpec::qasm(device, "qreg q[2];\n"));
     }
 
     #[test]

@@ -221,22 +221,55 @@ fn bad_programs_are_rejected_before_queueing() {
 }
 
 #[test]
-fn uncoupled_pairs_come_back_as_compile_errors() {
-    // A CZ between qubits 0 and 2 on a 3-qubit line: no direct coupling,
-    // and the service's compiler does not route — the job must fail as a
-    // value, not a panic.
-    let svc = service(1);
+fn non_adjacent_pairs_are_routed_like_the_spine() {
+    // A CZ between qubits 0 and 2 on a 3-qubit line: the service routes
+    // through the shared spine, so the job succeeds and matches a direct
+    // `compile_circuit` + `execute_compiled` run on the same device.
+    use pulse_compiler::pipeline::{compile_circuit, execute_compiled, PipelineConfig};
+    use quant_char::{counts_to_distribution, hellinger_fidelity};
+    use quant_device::{Calibration, CalibrationOptions, ShotPool};
+
     let mut c = Circuit::new(3);
-    c.push(quant_circuit::Gate::Cz, &[0, 2]);
-    let ticket = svc
-        .submit(JobSpec::ir(DeviceSpec::new(DeviceKind::Almaden, 3, 7), c))
-        .expect("submits fine");
-    match ticket.wait() {
-        Err(quant_service::ServiceError::Compile(msg)) => {
-            assert!(!msg.is_empty());
-        }
-        other => panic!("expected Compile error, got {other:?}"),
-    }
+    c.h(0).push(quant_circuit::Gate::Cz, &[0, 2]);
+    let job = JobSpec::ir(DeviceSpec::new(DeviceKind::Almaden, 3, 7), c.clone());
+    let out = service(1)
+        .submit(job.clone())
+        .expect("submits fine")
+        .wait()
+        .expect("routed job runs");
+
+    let (device, root) = job.device.build();
+    let calibration = Calibration::run_seeded(&device, &CalibrationOptions::default(), root);
+    let cc = compile_circuit(&device, &calibration, &c, job.mode).expect("spine compiles");
+    assert!(cc.routed.swaps_inserted > 0, "the CZ needs a SWAP");
+    let config = PipelineConfig {
+        mode: job.mode,
+        shots: job.shots,
+        seed: job.seed,
+        noisy: job.noisy,
+        ..PipelineConfig::default()
+    };
+    let (_, counts) =
+        execute_compiled(&device, &cc, &config, &ShotPool::serial()).expect("spine executes");
+    let ideal = cc.routed.circuit.output_distribution();
+    let fidelity = hellinger_fidelity(&ideal, &counts_to_distribution(&counts));
+    assert_eq!(out.counts, counts);
+    assert_eq!(out.fidelity.to_bits(), fidelity.to_bits());
+    assert_eq!(out.duration_dt, cc.compiled.duration());
+}
+
+#[test]
+fn narrow_job_on_a_wider_device_keeps_its_outcomes() {
+    let out = service(1)
+        .submit(JobSpec::qasm(
+            DeviceSpec::new(DeviceKind::Almaden, 3, 7),
+            "qreg q[2]; h q[0]; cx q[0], q[1];",
+        ))
+        .expect("submit")
+        .wait()
+        .expect("result");
+    assert_eq!(out.num_qubits, 2);
+    assert_eq!(out.counts.len(), 4);
 }
 
 #[test]
