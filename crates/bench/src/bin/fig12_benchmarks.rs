@@ -10,10 +10,9 @@
 
 use quant_algos::{molecules, trotter, vqe, LineGraph};
 use quant_circuit::Circuit;
+use quant_corpus::{PipelineConfig, PipelineError};
 use quant_device::ShotPool;
-use repro_bench::{
-    compare_flows, compare_flows_trajectory, qaoa_line_circuit, write_json, ExperimentRecord, Setup,
-};
+use repro_bench::{compare_flows, qaoa_line_circuit, write_json, ExperimentRecord, Setup};
 
 fn vqe_benchmark(m: &quant_algos::Molecule) -> Circuit {
     let r = vqe::solve(&m.hamiltonian);
@@ -31,7 +30,7 @@ fn dynamics_benchmark(m: &quant_algos::Molecule) -> Circuit {
     trotter::trotter_circuit(&m.hamiltonian, 3.0, 6)
 }
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let shots = 8000;
     println!("Figure 12 — benchmark error (Hellinger distance), standard vs optimized");
     println!("(paper: mean reduction 1.55x; 5-qubit QAOA 2.32x, 33.7% → 14.5%)\n");
@@ -52,10 +51,23 @@ fn main() {
     // Each benchmark is seeded by its index, so fanning them across the
     // pool reproduces the serial results bit-for-bit.
     let pool = ShotPool::from_env();
-    let comparisons = pool.map(&benchmarks, |i, (_, circuit, n)| {
-        let setup = Setup::almaden(*n, 1000 + i as u64);
-        compare_flows(&setup, circuit, shots, 2000 + i as u64)
-    });
+    let config = |seed| PipelineConfig {
+        shots,
+        seed,
+        ..PipelineConfig::default()
+    };
+    let comparisons = pool
+        .map(&benchmarks, |i, (_, circuit, n)| {
+            let setup = Setup::almaden(*n, 1000 + i as u64);
+            compare_flows(
+                &setup,
+                circuit,
+                &config(2000 + i as u64),
+                &ShotPool::serial(),
+            )
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut reductions = Vec::new();
     let mut speedups = Vec::new();
@@ -87,14 +99,18 @@ fn main() {
     println!("paper reference      : 1.55x                 ~2x");
 
     // Past the paper's 5-qubit ceiling: the same comparison on a 12-qubit
-    // linear topology through the trajectory executor (the exact density
-    // path stops at 6 qubits). Fixed angles keep the setup off the
+    // linear topology, which the spine runs as trajectories (the exact
+    // density path stops at 6 qubits). Fixed angles keep the setup off the
     // exponential `solve_p1` search; the row is recorded alongside the
     // six density benchmarks but excluded from the paper-reference means.
     let name = "QAOA-12 MAXCUT (trajectory)";
     let setup = Setup::almaden(12, 1012);
     let circuit = qaoa_line_circuit(12, Some((0.7, 0.42)));
-    let cmp = compare_flows_trajectory(&setup, &circuit, 8, shots, 2012, &pool);
+    let wide = PipelineConfig {
+        trajectories: 8,
+        ..config(2012)
+    };
+    let cmp = compare_flows(&setup, &circuit, &wide, &pool)?;
     records.push(ExperimentRecord {
         name: name.to_string(),
         comparison: cmp.clone(),
@@ -112,4 +128,5 @@ fn main() {
     {
         println!("(machine-readable copy: results/fig12_benchmarks.json)");
     }
+    Ok(())
 }

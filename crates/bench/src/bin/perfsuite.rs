@@ -47,6 +47,7 @@ use pulse_compiler::{CompileMode, Compiler};
 use quant_algos::{molecules, trotter, vqe, LineGraph};
 use quant_char::rb_sequence;
 use quant_circuit::Circuit;
+use quant_corpus::PipelineConfig;
 use quant_device::{
     CalStore, Calibration, CalibrationOptions, DeviceModel, LoweredProgram, ProbeCache,
     PulseExecutor, ShotPool, TrajectoryExecutor, DT,
@@ -118,7 +119,15 @@ fn fig04_workload(pool: &ShotPool, shots: usize, reps: usize) -> usize {
 fn fig12_workload(pool: &ShotPool, benchmarks: &[(Circuit, usize)], shots: usize) -> usize {
     let comparisons = pool.map(benchmarks, |i, (circuit, n)| {
         let setup = Setup::almaden(*n, 1000 + i as u64);
-        compare_flows(&setup, circuit, shots, 2000 + i as u64)
+        let config = PipelineConfig {
+            shots,
+            seed: 2000 + i as u64,
+            ..PipelineConfig::default()
+        };
+        match compare_flows(&setup, circuit, &config, &ShotPool::serial()) {
+            Ok(cmp) => cmp,
+            Err(e) => die(format_args!("fig12 workload failed: {e}")),
+        }
     });
     std::hint::black_box(comparisons);
     benchmarks.len() * 2 * shots

@@ -3,18 +3,18 @@
 //! Every binary in this crate regenerates one of the paper's tables or
 //! figures (see DESIGN.md §3 for the index). This library provides the
 //! common setup — an Almaden-like device with its daily calibration — and
-//! the standard run path: compile (standard or optimized), execute with
-//! the full noise model, sample shots, mitigate readout, compare to ideal.
+//! the figure run path, [`compare_flows`]: both compilation flows through
+//! the compile→execute spine (`quant_corpus::run_circuit`, the same
+//! routing, executor choice and seed lanes as `opc compile`), then readout
+//! mitigation and Hellinger scoring against the ideal distribution.
 
-use pulse_compiler::{CompileMode, Compiler};
+use pulse_compiler::CompileMode;
 use quant_algos::LineGraph;
 use quant_char::{counts_to_distribution, hellinger_distance, Mitigator};
 use quant_circuit::Circuit;
-use quant_device::{
-    calibrate, Calibration, DeviceModel, PulseExecutor, ShotPool, TrajectoryExecutor,
-};
+use quant_corpus::{run_circuit, PipelineConfig, PipelineError, PipelineRun};
+use quant_device::{calibrate, Calibration, DeviceModel, ShotPool};
 use quant_math::seeded;
-use rand::rngs::StdRng;
 use rand::Rng;
 
 pub mod json;
@@ -101,88 +101,36 @@ pub fn qaoa_line_circuit(n: usize, angles: Option<(f64, f64)>) -> Circuit {
     g.qaoa_circuit(&[angles])
 }
 
-/// Builds a mitigator the fully empirical way: prepare each single-qubit
-/// basis state through the compiler (|1⟩ via an X gate), run it on the
-/// noisy executor, and estimate the per-qubit confusion probabilities from
-/// the measured counts — the actual protocol behind the paper's
-/// measurement-error mitigation, SPAM contamination included.
-pub fn measured_mitigator(
-    setup: &Setup,
-    n: usize,
-    cal_shots: usize,
-    rng: &mut StdRng,
-) -> Mitigator {
-    let exec = PulseExecutor::new(&setup.device);
-    let mut e0 = Vec::with_capacity(n);
-    let mut e1 = Vec::with_capacity(n);
-    for q in 0..n as u32 {
-        // Prepared |0⟩: an empty program.
-        let idle = Compiler::new(&setup.device, &setup.calibration, CompileMode::Optimized)
-            .compile(&Circuit::new(n as u32))
-            .expect("compile idle");
-        let out = exec.run(&idle.program, rng);
-        let counts = out.sample_counts(rng, cal_shots);
-        let ones: u64 = counts
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| (idx >> q) & 1 == 1)
-            .map(|(_, &c)| c)
-            .sum();
-        e0.push((ones as f64 / cal_shots as f64).clamp(1e-4, 0.5));
-
-        // Prepared |1⟩ on qubit q.
-        let mut c = Circuit::new(n as u32);
-        c.x(q);
-        let prep = Compiler::new(&setup.device, &setup.calibration, CompileMode::Optimized)
-            .compile(&c)
-            .expect("compile prep");
-        let out = exec.run(&prep.program, rng);
-        let counts = out.sample_counts(rng, cal_shots);
-        let zeros: u64 = counts
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| (idx >> q) & 1 == 0)
-            .map(|(_, &c)| c)
-            .sum();
-        e1.push((zeros as f64 / cal_shots as f64).clamp(1e-4, 0.5));
-    }
-    Mitigator::from_calibration(&e0, &e1)
-}
-
-/// Result of one compiled, noisy, mitigated run.
-pub struct RunResult {
-    /// Mitigated empirical distribution.
+/// One flow through the spine, readout-mitigated and scored.
+#[derive(Clone, Debug)]
+pub struct MitigatedRun {
+    /// The spine's run (counts, ideal distribution, executor, durations).
+    pub run: PipelineRun,
+    /// The counts' distribution after [`Setup::mitigator`].
     pub distribution: Vec<f64>,
-    /// Schedule duration in `dt`.
-    pub duration: u64,
-    /// Pulses played.
-    pub pulse_count: usize,
+    /// Hellinger distance of `distribution` from `run.ideal`.
+    pub error: f64,
 }
 
-/// Compiles and runs a circuit with the full noise model, sampling `shots`
-/// and applying readout mitigation.
-pub fn run_noisy(
+/// Runs a circuit through the spine under `config`, then mitigates the
+/// measured counts with [`Setup::mitigator`] and scores them against the
+/// routed circuit's ideal distribution.
+pub fn run_mitigated(
     setup: &Setup,
     circuit: &Circuit,
-    mode: CompileMode,
-    shots: usize,
-    rng: &mut StdRng,
-) -> RunResult {
-    let compiled = Compiler::new(&setup.device, &setup.calibration, mode)
-        .compile(circuit)
-        .expect("compile failed");
-    let exec = PulseExecutor::new(&setup.device);
-    let out = exec.run(&compiled.program, rng);
-    let counts = out.sample_counts(rng, shots);
-    let measured = counts_to_distribution(&counts);
-    let mitigated = setup
+    config: &PipelineConfig,
+    pool: &ShotPool,
+) -> Result<MitigatedRun, PipelineError> {
+    let run = run_circuit(&setup.device, &setup.calibration, circuit, config, pool)?;
+    let distribution = setup
         .mitigator(circuit.num_qubits() as usize)
-        .mitigate(&measured);
-    RunResult {
-        distribution: mitigated,
-        duration: compiled.duration(),
-        pulse_count: compiled.pulse_count(),
-    }
+        .mitigate(&counts_to_distribution(&run.counts));
+    let error = hellinger_distance(&run.ideal, &distribution);
+    Ok(MitigatedRun {
+        run,
+        distribution,
+        error,
+    })
 }
 
 /// Standard-vs-optimized comparison on one benchmark circuit.
@@ -210,101 +158,30 @@ impl Comparison {
     }
 }
 
-/// `run_noisy` for registers past the density wall: compiles and runs the
-/// circuit through the stochastic trajectory executor's fused route,
-/// samples `shots` with readout noise, and applies the same mitigation.
-/// The counts depend only on `(program, shots, root)` — never on `pool`.
-pub fn run_noisy_trajectory(
+/// Runs a benchmark circuit through both flows with [`run_mitigated`],
+/// both on `config.seed` as the corpus runs them (`config.mode` is
+/// ignored), and compares their errors and schedule durations.
+pub fn compare_flows(
     setup: &Setup,
     circuit: &Circuit,
-    mode: CompileMode,
-    trajectories: usize,
-    shots: usize,
-    root: u64,
+    config: &PipelineConfig,
     pool: &ShotPool,
-) -> RunResult {
-    let compiled = match Compiler::new(&setup.device, &setup.calibration, mode).compile(circuit) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("repro-bench: trajectory compile failed: {e:?}");
-            std::process::exit(1);
-        }
+) -> Result<Comparison, PipelineError> {
+    let flow = |mode| {
+        let config = PipelineConfig {
+            mode,
+            ..config.clone()
+        };
+        run_mitigated(setup, circuit, &config, pool)
     };
-    let counts = match TrajectoryExecutor::new(&setup.device, trajectories).try_run_pooled(
-        &compiled.program,
-        shots,
-        root,
-        pool,
-    ) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("repro-bench: trajectory run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let measured = counts_to_distribution(&counts);
-    let mitigated = setup
-        .mitigator(circuit.num_qubits() as usize)
-        .mitigate(&measured);
-    RunResult {
-        distribution: mitigated,
-        duration: compiled.duration(),
-        pulse_count: compiled.pulse_count(),
-    }
-}
-
-/// Runs a benchmark circuit through both flows and scores each against the
-/// ideal distribution.
-pub fn compare_flows(setup: &Setup, circuit: &Circuit, shots: usize, seed: u64) -> Comparison {
-    let ideal = circuit.output_distribution();
-    let mut rng = seeded(seed);
-    let std = run_noisy(setup, circuit, CompileMode::Standard, shots, &mut rng);
-    let opt = run_noisy(setup, circuit, CompileMode::Optimized, shots, &mut rng);
-    Comparison {
-        error_standard: hellinger_distance(&ideal, &std.distribution),
-        error_optimized: hellinger_distance(&ideal, &opt.distribution),
-        duration_standard: std.duration,
-        duration_optimized: opt.duration,
-    }
-}
-
-/// `compare_flows` for wide registers: both flows run through the
-/// trajectory executor on the same root, so the standard-vs-optimized
-/// comparison reaches the 10–16-qubit linear topologies the exact density
-/// path cannot hold.
-pub fn compare_flows_trajectory(
-    setup: &Setup,
-    circuit: &Circuit,
-    trajectories: usize,
-    shots: usize,
-    root: u64,
-    pool: &ShotPool,
-) -> Comparison {
-    let ideal = circuit.output_distribution();
-    let std = run_noisy_trajectory(
-        setup,
-        circuit,
-        CompileMode::Standard,
-        trajectories,
-        shots,
-        root,
-        pool,
-    );
-    let opt = run_noisy_trajectory(
-        setup,
-        circuit,
-        CompileMode::Optimized,
-        trajectories,
-        shots,
-        root.wrapping_add(1),
-        pool,
-    );
-    Comparison {
-        error_standard: hellinger_distance(&ideal, &std.distribution),
-        error_optimized: hellinger_distance(&ideal, &opt.distribution),
-        duration_standard: std.duration,
-        duration_optimized: opt.duration,
-    }
+    let std = flow(CompileMode::Standard)?;
+    let opt = flow(CompileMode::Optimized)?;
+    Ok(Comparison {
+        error_standard: std.error,
+        error_optimized: opt.error,
+        duration_standard: std.run.duration_dt,
+        duration_optimized: opt.run.duration_dt,
+    })
 }
 
 /// Estimates P(qubit = 0) from a distribution for one qubit index.
@@ -390,22 +267,6 @@ mod tests {
         let probs = [0.1, 0.2, 0.3, 0.4];
         assert!((p0_of_qubit(&probs, 0) - 0.4).abs() < 1e-12);
         assert!((p0_of_qubit(&probs, 1) - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn measured_mitigator_estimates_confusion() {
-        let setup = Setup::almaden(1, 9090);
-        let mut rng = seeded(91);
-        let m = measured_mitigator(&setup, 1, 8000, &mut rng);
-        // Forward-applying the estimated confusion to a pure |0⟩ should
-        // land near the device's true readout error (plus SPAM).
-        let noisy = m.apply_forward(&[1.0, 0.0]);
-        let truth = setup.device.readout(0).p1_given_0 + setup.device.reset_excited_prob();
-        assert!(
-            (noisy[1] - truth).abs() < 0.02,
-            "estimated {:.4} vs true-ish {truth:.4}",
-            noisy[1]
-        );
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! End-to-end CLI tests for `opc`, and the cross-front-end differential
 //! test: the library spine, an in-process `CompileService`, the wire
 //! protocol, `opc compile` and `opc submit` must all give bit-identical
-//! counts for the same program, device and seed. A bare `opc` must print
-//! the subcommand usage and exit 2.
+//! counts for the same program, device and seed, and the figure harness
+//! (`repro_bench::compare_flows`) must score exactly those counts. A bare
+//! `opc` must print the subcommand usage and exit 2.
 //!
 //! The library leg runs trajectories on the environment's pool while the
 //! service runs them serially, so CI also runs this file at
 //! `OPC_THREADS=4`.
 
-use pulse_compiler::CompileMode;
+use pulse_compiler::{CompileMode, RouteError};
+use quant_char::{counts_to_distribution, hellinger_distance};
 use quant_circuit::{qasm, Circuit};
-use quant_corpus::{generate, run_circuit, PipelineConfig, PipelineRun, Tier};
+use quant_corpus::{generate, run_circuit, PipelineConfig, PipelineError, PipelineRun, Tier};
 use quant_device::{calibrate, Calibration, CalibrationOptions, DeviceModel, ShotPool};
 use quant_math::seeded;
 use quant_service::wire::{self, WireResponse};
 use quant_service::{CompileService, DeviceKind, DeviceSpec, JobOutput, JobSpec, ServiceConfig};
+use repro_bench::{compare_flows, Comparison, Setup};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::path::Path;
@@ -312,4 +315,93 @@ fn noiseless_runs_past_the_density_wall_fail_in_both_binaries() {
         assert_eq!(out.status.code(), Some(1), "opc {cmd}: {stderr}");
         assert!(stderr.contains(expected), "opc {cmd}: {stderr}");
     }
+}
+
+/// A `Comparison` as raw bits, so equality means bit-identical.
+fn comparison_bits(c: &Comparison) -> [u64; 4] {
+    [
+        c.error_standard.to_bits(),
+        c.error_optimized.to_bits(),
+        c.duration_standard,
+        c.duration_optimized,
+    ]
+}
+
+#[test]
+fn compare_flows_scores_the_spine_counts() {
+    let config = PipelineConfig::default();
+    let pool = ShotPool::from_env();
+    let mut setups = BTreeMap::new();
+    for entry in generate(Tier::Smoke) {
+        let width = entry.width as usize;
+        let setup = setups
+            .entry(width)
+            .or_insert_with(|| Setup::almaden(width, config.seed));
+        let cmp = compare_flows(setup, &entry.circuit, &config, &pool)
+            .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+        let mitigator = setup.mitigator(width);
+        let [std, opt] = MODES.map(|mode| {
+            let flow = PipelineConfig {
+                mode,
+                ..config.clone()
+            };
+            let run = run_circuit(
+                &setup.device,
+                &setup.calibration,
+                &entry.circuit,
+                &flow,
+                &pool,
+            )
+            .unwrap_or_else(|e| panic!("{} {mode:?}: {e}", entry.name));
+            let mitigated = mitigator.mitigate(&counts_to_distribution(&run.counts));
+            (hellinger_distance(&run.ideal, &mitigated), run.duration_dt)
+        });
+        let expected = Comparison {
+            error_standard: std.0,
+            error_optimized: opt.0,
+            duration_standard: std.1,
+            duration_optimized: opt.1,
+        };
+        assert_eq!(
+            comparison_bits(&cmp),
+            comparison_bits(&expected),
+            "{}: compare_flows {cmp:?} vs run_circuit {expected:?}",
+            entry.name
+        );
+    }
+}
+
+#[test]
+fn compare_flows_on_trajectories_ignores_the_pool_size() {
+    let config = PipelineConfig::default();
+    let entry = generate(Tier::Smoke)
+        .into_iter()
+        .find(|e| e.name == "qaoa_n10_p1")
+        .expect("smoke tier carries qaoa_n10_p1");
+    assert!(
+        entry.width > config.density_max_qubits,
+        "takes trajectories"
+    );
+    let setup = Setup::almaden(entry.width as usize, config.seed);
+    let [serial, pooled] = [1, 4].map(|threads| {
+        compare_flows(&setup, &entry.circuit, &config, &ShotPool::new(threads))
+            .expect("qaoa_n10_p1 runs")
+    });
+    assert_eq!(comparison_bits(&serial), comparison_bits(&pooled));
+}
+
+#[test]
+fn compare_flows_reports_a_too_wide_circuit_as_an_error() {
+    let config = PipelineConfig::default();
+    let entry = generate(Tier::Smoke)
+        .into_iter()
+        .find(|e| e.name == "qft_n3")
+        .expect("smoke tier carries qft_n3");
+    let setup = Setup::almaden(2, config.seed);
+    let err = compare_flows(&setup, &entry.circuit, &config, &ShotPool::serial())
+        .expect_err("3 logical qubits on a 2-qubit device must fail");
+    assert!(
+        matches!(err, PipelineError::Route(RouteError::TooWide { .. })),
+        "{err}"
+    );
 }

@@ -11,8 +11,9 @@
 //!    spine in `pulse_compiler::pipeline` (linear-chain routing,
 //!    gate-level or pulse-level compilation, density or trajectory
 //!    execution; re-exported here) → counts + Hellinger fidelity. The
-//!    spine is shared with the service, so `opc compile`, the corpus
-//!    runner and `opc submit` give the same counts.
+//!    spine is shared with the service and the figure harness, so
+//!    `opc compile`, the corpus runner, `opc submit` and Fig. 12 give the
+//!    same counts.
 //! 3. [`report`] + [`golden`] — run every corpus circuit under both
 //!    flows ([`report::run_corpus`]), emit the comparative JSON/markdown
 //!    report, and render/diff the bit-exact golden summaries that back
@@ -33,8 +34,8 @@ pub mod report;
 
 pub use generators::{generate, CorpusEntry, Family, Tier};
 pub use pipeline::{
-    compile_circuit, execute_compiled, run_circuit, run_qasm, CompiledCircuit, ExecutorKind,
-    PipelineConfig, PipelineError, PipelineRun,
+    compile_circuit, execute_compiled, run_circuit, run_compiled, run_qasm, CompiledCircuit,
+    ExecutorKind, PipelineConfig, PipelineError, PipelineRun,
 };
 pub use report::{
     run_corpus, CircuitReport, Clock, CorpusError, CorpusOptions, CorpusReport, FamilySummary,

@@ -45,6 +45,17 @@ pub fn run_circuit(
     pool: &ShotPool,
 ) -> Result<PipelineRun, PipelineError> {
     let cc = compile_circuit(device, calibration, circuit, config.mode)?;
+    run_compiled(device, cc, config, pool)
+}
+
+/// The execute → score half of [`run_circuit`], for callers that time
+/// [`compile_circuit`] on its own (the corpus report).
+pub fn run_compiled(
+    device: &DeviceModel,
+    cc: CompiledCircuit,
+    config: &PipelineConfig,
+    pool: &ShotPool,
+) -> Result<PipelineRun, PipelineError> {
     let (executor, counts) = execute_compiled(device, &cc, config, pool)?;
     let ideal = cc.routed.circuit.output_distribution();
     let fidelity = hellinger_fidelity(&ideal, &counts_to_distribution(&counts));

@@ -11,11 +11,8 @@
 //! rule; timings are reported but excluded from golden summaries.
 
 use crate::generators::{generate, CorpusEntry, Family, Tier};
-use crate::pipeline::{
-    compile_circuit, execute_compiled, ExecutorKind, PipelineConfig, PipelineError,
-};
+use crate::pipeline::{compile_circuit, run_compiled, ExecutorKind, PipelineConfig, PipelineError};
 use pulse_compiler::CompileMode;
-use quant_char::{counts_to_distribution, hellinger_fidelity};
 use quant_device::{Calibration, CalibrationOptions, DeviceModel, ShotPool};
 use quant_math::{seeded, stream_seed};
 use rand::Rng;
@@ -457,18 +454,16 @@ fn run_flow(
         let t1 = clock.as_ref().map(|c| c()).unwrap_or(t0);
         t1.saturating_sub(t0)
     });
-    let (executor, counts) = execute_compiled(device, &cc, config, pool).map_err(tag)?;
-    let ideal = cc.routed.circuit.output_distribution();
-    let fidelity = hellinger_fidelity(&ideal, &counts_to_distribution(&counts));
+    let run = run_compiled(device, cc, config, pool).map_err(tag)?;
     Ok(FlowMetrics {
-        swaps: cc.routed.swaps_inserted,
-        depth: cc.routed.circuit.depth(),
-        two_qubit_gates: cc.routed.circuit.two_qubit_count(),
-        duration_dt: cc.compiled.duration(),
-        pulse_count: cc.compiled.pulse_count(),
-        executor,
-        fidelity,
-        counts_checksum: counts_checksum(&counts),
+        swaps: run.swaps_inserted,
+        depth: run.routed_depth,
+        two_qubit_gates: run.two_qubit_gates,
+        duration_dt: run.duration_dt,
+        pulse_count: run.pulse_count,
+        executor: run.executor,
+        fidelity: run.fidelity,
+        counts_checksum: counts_checksum(&run.counts),
         // `Lowering::lower` verifies every schedule it returns and fails
         // the compile on any finding: a successful compile is verified.
         verified: true,

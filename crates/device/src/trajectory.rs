@@ -223,37 +223,8 @@ impl<'a> TrajectoryExecutor<'a> {
 
     /// Runs the program, sampling `shots` measurement outcomes spread over
     /// the trajectories. Returns counts over the `2ⁿ` outcomes (readout
-    /// error applied per shot).
-    ///
-    /// Draws exactly one `u64` root from `rng` and fans the trajectories
-    /// over [`ShotPool::from_env`] on per-trajectory seed streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program addresses a pair the device topology does not
-    /// couple; use [`TrajectoryExecutor::try_run`] to get the error as a
-    /// value.
-    pub fn run(&self, program: &LoweredProgram, shots: usize, rng: &mut impl Rng) -> Vec<u64> {
-        match self.try_run(program, shots, rng) {
-            Ok(counts) => counts,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs the program, reporting topology mismatches as [`ExecError`]
-    /// instead of panicking. Draws one `u64` root from `rng`; the pool
-    /// size comes from `OPC_THREADS`.
-    pub fn try_run(
-        &self,
-        program: &LoweredProgram,
-        shots: usize,
-        rng: &mut impl Rng,
-    ) -> Result<Vec<u64>, ExecError> {
-        let root = rng.gen::<u64>();
-        self.try_run_pooled(program, shots, root, &ShotPool::from_env())
-    }
-
-    /// [`TrajectoryExecutor::try_run`] with an explicit root seed and pool.
+    /// error applied per shot), or an [`ExecError`] if the program
+    /// addresses a pair the device topology does not couple.
     ///
     /// Trajectory `i` runs on `seeded(stream_seed(root, i))` and shots are
     /// split across trajectories by index (`shots/T` each, the first
@@ -884,7 +855,10 @@ mod tests {
         // Trajectory ensemble (fused path).
         let traj = TrajectoryExecutor::new(&device, 96);
         let mut rng_b = seeded(6);
-        let counts = traj.run(&program, 48_000, &mut rng_b);
+        let root = rng_b.gen::<u64>();
+        let counts = traj
+            .try_run_pooled(&program, 48_000, root, &ShotPool::new(2))
+            .unwrap();
         let total: u64 = counts.iter().sum();
         for (i, (&c, &p)) in counts.iter().zip(&dm.probabilities).enumerate() {
             let freq = c as f64 / total as f64;
@@ -961,7 +935,10 @@ mod tests {
             ],
             schedule: Schedule::new("decay"),
         };
-        let counts = traj.run(&program, 16_000, &mut rng);
+        let root = rng.gen::<u64>();
+        let counts = traj
+            .try_run_pooled(&program, 16_000, root, &ShotPool::new(2))
+            .unwrap();
         let p1 = counts[1] as f64 / 16_000.0;
         assert!(
             (p1 - 0.5_f64).abs() < 0.08,

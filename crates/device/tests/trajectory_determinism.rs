@@ -19,6 +19,7 @@ use quant_device::{
 };
 use quant_math::seeded;
 use quant_pulse::Schedule;
+use rand::Rng;
 
 /// An entangling line program on `n` qubits: X on qubit 0, then a CNOT
 /// chain down the line — every 1Q, 2Q, relaxation and readout path runs.
@@ -142,8 +143,9 @@ fn uncoupled_pair_reported_as_error_not_panic() {
         *target = 2;
     }
     let exec = TrajectoryExecutor::new(&device, 4);
+    let root = seeded(1).gen::<u64>();
     let err = exec
-        .try_run(&program, 100, &mut seeded(1))
+        .try_run_pooled(&program, 100, root, &ShotPool::from_env())
         .expect_err("uncoupled pair must be an error");
     assert!(matches!(
         err,
@@ -167,7 +169,10 @@ fn ensemble_converges_to_density_matrix_distribution() {
 
     let dm = PulseExecutor::new(&device).run(&program, &mut seeded(5));
     let traj = TrajectoryExecutor::new(&device, 128);
-    let counts = traj.run(&program, 64_000, &mut seeded(6));
+    let root = seeded(6).gen::<u64>();
+    let counts = traj
+        .try_run_pooled(&program, 64_000, root, &ShotPool::from_env())
+        .unwrap();
     let total: u64 = counts.iter().sum();
     assert_eq!(total, 64_000);
     for (i, (&c, &p)) in counts.iter().zip(&dm.probabilities).enumerate() {

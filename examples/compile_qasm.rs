@@ -1,5 +1,6 @@
-//! Compile an OpenQASM program through the full flow — the "write once,
-//! target all" story: the input is textbook assembly text; the optimized
+//! Compile an OpenQASM program through the full flow (`corpus::run_qasm`:
+//! parse, route, compile, lower, execute) — the "write once, target all"
+//! story: the input is textbook assembly text; the optimized
 //! compiler rediscovers its ZZ interactions and lowers them to stretched
 //! CR pulses without the author knowing any device physics.
 //!
@@ -8,8 +9,9 @@
 //! ```
 
 use openpulse_repro::circuit::qasm;
-use openpulse_repro::compiler::{CompileMode, Compiler};
-use openpulse_repro::device::{calibrate, DeviceModel, PulseExecutor, DT};
+use openpulse_repro::compiler::CompileMode;
+use openpulse_repro::corpus::{run_qasm, PipelineConfig};
+use openpulse_repro::device::{calibrate, DeviceModel, ShotPool, DT};
 use openpulse_repro::math::seeded;
 
 const PROGRAM: &str = r#"
@@ -42,9 +44,15 @@ fn main() {
     let calibration = calibrate(&device, &mut rng);
 
     for mode in [CompileMode::Standard, CompileMode::Optimized] {
-        let compiled = Compiler::new(&device, &calibration, mode)
-            .compile(&circuit)
-            .expect("compile");
+        let config = PipelineConfig {
+            mode,
+            shots: 4000,
+            seed: 2718,
+            ..PipelineConfig::default()
+        };
+        let run = run_qasm(&device, &calibration, PROGRAM, &config, &ShotPool::serial())
+            .expect("pipeline run");
+        let compiled = &run.compiled;
         println!("==== {mode:?} ====");
         println!(
             "assembly after passes ({} ops, {} ZZ detected):",
@@ -54,13 +62,10 @@ fn main() {
         println!("{}", qasm::print(&compiled.assembly));
         println!(
             "schedule: {} pulses, {} dt ({:.2} µs)\n",
-            compiled.pulse_count(),
-            compiled.duration(),
-            compiled.duration() as f64 * DT * 1e6
+            run.pulse_count,
+            run.duration_dt,
+            run.duration_dt as f64 * DT * 1e6
         );
-        let exec = PulseExecutor::new(&device);
-        let out = exec.run(&compiled.program, &mut rng);
-        let counts = out.sample_counts(&mut rng, 4000);
-        println!("counts (4000 shots): {counts:?}\n");
+        println!("counts ({} shots): {:?}\n", config.shots, run.counts);
     }
 }
