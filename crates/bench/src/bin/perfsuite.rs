@@ -17,7 +17,9 @@
 //! `qaoa20_trajectory_reference` run; the `speedup` column is the win
 //! over the reference route), the propagator hot loop
 //! (eigendecomposition reference vs the Taylor scratch used by the
-//! integrators), a θ-sweep with the pulse cache off vs on, and the
+//! integrators), echoed-CR integration of jittered calibrated CX
+//! schedules (`cr_integrate_cx`, block-structured `CrPair::integrate`,
+//! against the per-sample dense `cr_integrate_cx_reference`), a θ-sweep with the pulse cache off vs on, and the
 //! compile service under a mixed concurrent job stream at 1..N workers
 //! (`service_throughput`: `shots_per_s` is jobs/sec there, with
 //! `p50_ms`/`p99_ms` latency and `dedup_hit_rate` extras, and a fatal
@@ -52,7 +54,8 @@ use quant_device::{
     CalStore, Calibration, CalibrationOptions, DeviceModel, LoweredProgram, ProbeCache,
     PulseExecutor, ShotPool, TrajectoryExecutor, DT,
 };
-use quant_math::{seeded, unitary_exp, CMat, PropagatorScratch, C64};
+use quant_math::{normal, seeded, unitary_exp, CMat, PropagatorScratch, C64};
+use quant_pulse::{Channel, Instruction, Schedule};
 use quant_service::{CompileService, DeviceKind, DeviceSpec, JobSpec, ServiceConfig};
 use quant_sim::{channels, gates, DensityMatrix, KernelScratch};
 use rand::Rng;
@@ -401,6 +404,59 @@ fn trajectory_program(setup: &Setup, n: usize, mode: CompileMode) -> LoweredProg
         Ok(compiled) => compiled.program,
         Err(e) => die(format_args!("compile QAOA-{n} layer failed: {e:?}")),
     }
+}
+
+/// Calibrated CX schedules of a 2-qubit setup with one amplitude-jitter
+/// draw per play, as each trajectory draws them (`1 + ξ/peak`,
+/// `ξ ~ N(0, σ_jitter)`), from a fixed seed.
+fn jittered_cx_schedules(setup: &Setup, count: usize) -> Vec<Schedule> {
+    let Some(cx) = setup.calibration.cmd_def().get("cx", &[0, 1]) else {
+        die(format_args!("no calibrated cx on (0, 1)"));
+    };
+    let sigma = setup.device.pulse_amp_jitter();
+    let mut rng = seeded(0xC8);
+    (0..count)
+        .map(|_| {
+            let mut s = Schedule::new(cx.name());
+            for ti in cx.instructions() {
+                let instruction = match &ti.instruction {
+                    Instruction::Play { waveform, channel } => {
+                        let peak = waveform.peak().max(1e-12);
+                        let xi = normal(&mut rng, 0.0, sigma);
+                        Instruction::Play {
+                            waveform: waveform.scaled(1.0 + xi / peak),
+                            channel: *channel,
+                        }
+                    }
+                    other => other.clone(),
+                };
+                s.insert(ti.start, instruction);
+            }
+            s
+        })
+        .collect()
+}
+
+/// Integrates every schedule on the execution-time (0, 1) pair, through
+/// the block-structured integrator or the per-sample dense reference.
+/// Returns the number of integrations.
+fn cr_integrate_workload(setup: &Setup, schedules: &[Schedule], reference: bool) -> usize {
+    let (Some(pair), Some(cr_channel)) = (
+        setup.device.pair_exec(0, 1),
+        setup.device.control_channel(0, 1),
+    ) else {
+        die(format_args!("pair (0, 1) is not coupled"));
+    };
+    let (d_c, d_t) = (Channel::Drive(0), Channel::Drive(1));
+    for s in schedules {
+        let r = if reference {
+            pair.integrate_ref(s, d_c, d_t, cr_channel)
+        } else {
+            pair.integrate(s, d_c, d_t, cr_channel)
+        };
+        std::hint::black_box(r);
+    }
+    schedules.len()
 }
 
 /// The per-sample propagator hot loop, via the eigendecomposition
@@ -773,6 +829,27 @@ fn main() {
             );
         }
     }
+
+    // Echoed-CR integration, the trajectory executor's hot layer: jittered
+    // calibrated CX schedules through the block-structured
+    // `CrPair::integrate`, against the per-sample dense `integrate_ref`.
+    let cx_setup = Setup::almaden(2, 7_002);
+    let cx_schedules = jittered_cx_schedules(&cx_setup, if smoke { 2 } else { 16 });
+    let (n, cr_ref_ms) = time_best(if smoke { 1 } else { 3 }, || {
+        cr_integrate_workload(&cx_setup, &cx_schedules, true)
+    });
+    record(
+        &mut entries,
+        "cr_integrate_cx_reference",
+        1,
+        cr_ref_ms,
+        n,
+        cr_ref_ms,
+    );
+    let (n, cr_ms) = time_best(if smoke { 1 } else { 5 }, || {
+        cr_integrate_workload(&cx_setup, &cx_schedules, false)
+    });
+    record(&mut entries, "cr_integrate_cx", 1, cr_ms, n, cr_ref_ms);
 
     // Propagator hot loop: eigendecomposition reference vs Taylor scratch.
     // Best-of-5 on both sides — single runs swing ~25 % on a shared VM and

@@ -13,8 +13,10 @@
 //! is folded bit-for-bit into the key. Two lookups collide only when the
 //! integrations would be bit-identical, so a hit can never return a stale
 //! or approximate propagator. Per-pulse amplitude jitter therefore misses
-//! by construction (the jittered samples differ), and calibration drift
-//! changes the parameter bits, retiring every stale entry automatically.
+//! by construction (the jittered samples differ), which is why the noisy
+//! executor integrates jittered pulses without consulting the cache, and
+//! calibration drift changes the parameter bits, retiring every stale entry
+//! automatically.
 //!
 //! **Invalidation.** [`crate::DeviceModel::redraw_drift`] and
 //! [`crate::DeviceModel::set_drift`] additionally call

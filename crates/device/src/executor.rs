@@ -290,12 +290,14 @@ impl<'a> PulseExecutor<'a> {
                     let transmon = self.device.transmon_exec(*qubit);
                     for w in waveforms {
                         let w = self.jittered(w, rng);
-                        let key = crate::cache::single_play_key(
-                            transmon.params(),
-                            &DriveState::default(),
-                            &w,
-                        );
-                        let u3x3 = self.device.pulse_cache().get_or_integrate(key, || {
+                        let key = || {
+                            crate::cache::single_play_key(
+                                transmon.params(),
+                                &DriveState::default(),
+                                &w,
+                            )
+                        };
+                        let u3x3 = self.integrate_cached(key, || {
                             let mut state = DriveState::default();
                             transmon.integrate_play(&mut state, &w)
                         });
@@ -341,16 +343,18 @@ impl<'a> PulseExecutor<'a> {
                     } else {
                         schedule.clone()
                     };
-                    let key = crate::cache::pair_schedule_key(
-                        pair.control_params(),
-                        pair.target_params(),
-                        pair.cr_params(),
-                        &schedule,
-                        Channel::Drive(*control),
-                        Channel::Drive(*target),
-                        u_ch,
-                    );
-                    let unitary = self.device.pulse_cache().get_or_integrate(key, || {
+                    let key = || {
+                        crate::cache::pair_schedule_key(
+                            pair.control_params(),
+                            pair.target_params(),
+                            pair.cr_params(),
+                            &schedule,
+                            Channel::Drive(*control),
+                            Channel::Drive(*target),
+                            u_ch,
+                        )
+                    };
+                    let unitary = self.integrate_cached(key, || {
                         pair.integrate(
                             &schedule,
                             Channel::Drive(*control),
@@ -465,6 +469,22 @@ impl<'a> PulseExecutor<'a> {
         QutritOutcome {
             populations: rho.probabilities(),
             duration: cursor,
+        }
+    }
+
+    /// Integrates through the device's pulse cache, unless this run draws
+    /// amplitude jitter: every jittered pulse has fresh samples, so its key
+    /// could never hit and would only fill the cache (up to its entry cap)
+    /// with multi-kilobyte keys. Either way the propagator is the same.
+    fn integrate_cached(
+        &self,
+        key: impl FnOnce() -> crate::cache::PulseKey,
+        integrate: impl FnOnce() -> CMat,
+    ) -> CMat {
+        if self.noisy && self.device.pulse_amp_jitter() > 0.0 {
+            integrate()
+        } else {
+            self.device.pulse_cache().get_or_integrate(key(), integrate)
         }
     }
 

@@ -47,8 +47,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// computes for a fixed device and root seed — different RNG draw order,
 /// different sweep grids, different search logic. Version 2 is the
 /// per-task-stream parallel tune-up (one RNG stream per qubit derived from
-/// the root seed, quantized probe inputs).
-pub const CAL_ALGO_VERSION: u64 = 2;
+/// the root seed, quantized probe inputs). Version 3 measures the CR
+/// angles and the ZI residual through the block-structured pair
+/// integrator, whose propagators differ from version 2's in the last bits.
+pub const CAL_ALGO_VERSION: u64 = 3;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;

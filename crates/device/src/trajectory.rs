@@ -49,7 +49,8 @@
 use crate::device::DeviceModel;
 use crate::executor::{Block, ExecError, LoweredProgram, ShotPool};
 use crate::params::DT;
-use crate::transmon::DriveState;
+use crate::transmon::{DriveState, Transmon};
+use crate::twoqubit::CrPair;
 use quant_math::{normal, seeded, stream_seed, CMat, C64};
 use quant_pulse::{Channel, Instruction, Schedule, Waveform};
 use quant_sim::fusion::{FusionPlan, OpDesc, Step, MAX_FUSED_WEIGHT};
@@ -155,14 +156,12 @@ impl TrajWorker {
 enum TrajOp {
     /// Thermal SPAM: maybe fold an X flip.
     Spam,
-    /// One 1q waveform: jitter draw, integrate, fold the 2×2.
-    Wave { qubit: u32, wave: Waveform },
-    /// One 2q CR schedule: jitter draws, integrate, fold the 4×4.
-    Cr {
-        control: u32,
-        target: u32,
-        schedule: Schedule,
-    },
+    /// One 1q waveform: jitter draw, integrate on the hoisted qubit model
+    /// `transmon`, fold the 2×2.
+    Wave { transmon: usize, wave: Waveform },
+    /// One 2q CR schedule: jitter draws, integrate on the hoisted pair
+    /// model `pair`, fold the 4×4.
+    Cr { pair: usize, schedule: Schedule },
     /// Sampled thermal relaxation over an index into the hoisted
     /// relaxation tables: one categorical draw per stage.
     Relax { table: usize },
@@ -179,15 +178,28 @@ struct RelaxTable {
     weight_ops: Vec<Vec<CMat>>,
 }
 
+/// One hoisted two-qubit model: the execution-time pair integrator and
+/// its control channel, resolved once per program.
+#[derive(Clone, Debug)]
+struct PairExec {
+    control: u32,
+    target: u32,
+    pair: CrPair,
+    cr_channel: Channel,
+}
+
 /// The per-program hoisted plan: op payloads (parallel to the fusion
-/// pass's op indices), the fusion plan itself, and the deduplicated
-/// relaxation tables. Built once per [`TrajectoryExecutor::try_run_pooled`]
+/// pass's op indices), the fusion plan itself, the deduplicated
+/// relaxation tables, and the execution-time qubit and pair models the
+/// ops index into. Built once per [`TrajectoryExecutor::try_run_pooled`]
 /// call, shared read-only by every pool worker.
 #[derive(Clone, Debug)]
 struct FusedProgram {
     ops: Vec<TrajOp>,
     plan: FusionPlan,
     relax: Vec<RelaxTable>,
+    transmons: Vec<(u32, Transmon)>,
+    pairs: Vec<PairExec>,
 }
 
 /// The trajectory executor.
@@ -258,7 +270,7 @@ impl<'a> TrajectoryExecutor<'a> {
                 }
                 let mut rng = seeded(stream_seed(root, i as u64));
                 match &fused {
-                    Some(fp) => self.evolve_fused(fp, w, &mut rng)?,
+                    Some(fp) => self.evolve_fused(fp, w, &mut rng),
                     None => self.evolve_ref(program, w, &mut rng)?,
                 }
                 // Per-trajectory cumulative distribution; outcomes are then
@@ -304,6 +316,8 @@ impl<'a> TrajectoryExecutor<'a> {
         let mut ops: Vec<TrajOp> = Vec::new();
         let mut descs: Vec<OpDesc> = Vec::new();
         let mut relax: Vec<RelaxTable> = Vec::new();
+        let mut transmons: Vec<(u32, Transmon)> = Vec::new();
+        let mut pairs: Vec<PairExec> = Vec::new();
 
         fn push_relax(
             device: &DeviceModel,
@@ -353,9 +367,16 @@ impl<'a> TrajectoryExecutor<'a> {
                 }
                 Block::Gate1Q { qubit, waveforms } => {
                     let q = *qubit as usize;
+                    let transmon = match transmons.iter().position(|(k, _)| k == qubit) {
+                        Some(pos) => pos,
+                        None => {
+                            transmons.push((*qubit, self.device.transmon_exec(*qubit)));
+                            transmons.len() - 1
+                        }
+                    };
                     for wave in waveforms {
                         ops.push(TrajOp::Wave {
-                            qubit: *qubit,
+                            transmon,
                             wave: wave.clone(),
                         });
                         descs.push(OpDesc::unitary(&[q]));
@@ -376,20 +397,35 @@ impl<'a> TrajectoryExecutor<'a> {
                     schedule,
                 } => {
                     let (c, t) = (*control as usize, *target as usize);
-                    // Validate topology up front so the per-trajectory
-                    // replay cannot fail.
-                    self.device
-                        .pair_exec(*control, *target)
-                        .ok_or(ExecError::UncoupledPair {
-                            control: *control,
-                            target: *target,
-                        })?;
-                    self.device.control_channel(*control, *target).ok_or(
-                        ExecError::MissingControlChannel {
-                            control: *control,
-                            target: *target,
-                        },
-                    )?;
+                    // Resolve the pair up front, so topology errors surface
+                    // here and the per-trajectory replay cannot fail.
+                    let pair = match pairs
+                        .iter()
+                        .position(|p| p.control == *control && p.target == *target)
+                    {
+                        Some(pos) => pos,
+                        None => {
+                            let pair = self.device.pair_exec(*control, *target).ok_or(
+                                ExecError::UncoupledPair {
+                                    control: *control,
+                                    target: *target,
+                                },
+                            )?;
+                            let cr_channel = self.device.control_channel(*control, *target).ok_or(
+                                ExecError::MissingControlChannel {
+                                    control: *control,
+                                    target: *target,
+                                },
+                            )?;
+                            pairs.push(PairExec {
+                                control: *control,
+                                target: *target,
+                                pair,
+                                cr_channel,
+                            });
+                            pairs.len() - 1
+                        }
+                    };
                     let start = cursor[c].max(cursor[t]);
                     for &q in &[c, t] {
                         let idle = start - cursor[q];
@@ -399,8 +435,7 @@ impl<'a> TrajectoryExecutor<'a> {
                         cursor[q] = start;
                     }
                     ops.push(TrajOp::Cr {
-                        control: *control,
-                        target: *target,
+                        pair,
                         schedule: schedule.clone(),
                     });
                     descs.push(OpDesc::unitary(&[c, t]));
@@ -422,18 +457,19 @@ impl<'a> TrajectoryExecutor<'a> {
 
         let dims = vec![2usize; n];
         let plan = FusionPlan::build(&descs, &dims, MAX_FUSED_WEIGHT);
-        Ok(FusedProgram { ops, plan, relax })
+        Ok(FusedProgram {
+            ops,
+            plan,
+            relax,
+            transmons,
+            pairs,
+        })
     }
 
     /// Replays the hoisted plan for one stochastic trajectory: folds
     /// gates and sampled Kraus branches into the runtime block
     /// accumulators, sweeps the state only at block closes.
-    fn evolve_fused(
-        &self,
-        fp: &FusedProgram,
-        w: &mut TrajWorker,
-        rng: &mut impl Rng,
-    ) -> Result<(), ExecError> {
+    fn evolve_fused(&self, fp: &FusedProgram, w: &mut TrajWorker, rng: &mut impl Rng) {
         w.psi.reset_zero();
         let p_reset = self.device.reset_excited_prob();
         for step in &fp.plan.steps {
@@ -452,42 +488,24 @@ impl<'a> TrajectoryExecutor<'a> {
                             fold_op(w, *block, &x, local);
                         }
                     }
-                    TrajOp::Wave { qubit, wave } => {
+                    TrajOp::Wave { transmon, wave } => {
                         let wave = self.jittered(wave, rng);
                         let mut state = DriveState::default();
-                        let u3x3 = self
-                            .device
-                            .transmon_exec(*qubit)
-                            .integrate_play(&mut state, &wave);
+                        let u3x3 = fp.transmons[*transmon].1.integrate_play(&mut state, &wave);
                         let b = CMat::from_rows(&[
                             &[u3x3[(0, 0)], u3x3[(0, 1)]],
                             &[u3x3[(1, 0)], u3x3[(1, 1)]],
                         ]);
                         fold_op(w, *block, &b, local);
                     }
-                    TrajOp::Cr {
-                        control,
-                        target,
-                        schedule,
-                    } => {
-                        let pair = self.device.pair_exec(*control, *target).ok_or(
-                            ExecError::UncoupledPair {
-                                control: *control,
-                                target: *target,
-                            },
-                        )?;
-                        let u_ch = self.device.control_channel(*control, *target).ok_or(
-                            ExecError::MissingControlChannel {
-                                control: *control,
-                                target: *target,
-                            },
-                        )?;
+                    TrajOp::Cr { pair, schedule } => {
+                        let pe = &fp.pairs[*pair];
                         let schedule = self.jitter_schedule(schedule, rng);
-                        let r = pair.integrate(
+                        let r = pe.pair.integrate(
                             &schedule,
-                            Channel::Drive(*control),
-                            Channel::Drive(*target),
-                            u_ch,
+                            Channel::Drive(pe.control),
+                            Channel::Drive(pe.target),
+                            pe.cr_channel,
                         );
                         fold_op(w, *block, &r.unitary, local);
                     }
@@ -526,7 +544,6 @@ impl<'a> TrajectoryExecutor<'a> {
                 }
             }
         }
-        Ok(())
     }
 
     /// Evolves one stochastic trajectory in the worker's reused state,

@@ -19,9 +19,32 @@
 //! the same pass (two-level per qubit; leakage is handled by the executor's
 //! surrogate channel), so a complete CNOT pulse schedule — CR halves, echo
 //! X pulses, target Rx90, virtual-Z frames — evolves as one 4×4 propagator.
+//!
+//! # Block structure
+//!
+//! The model is block-diagonal in one qutrit's level whenever that qutrit
+//! is not driven, and [`CrPair::integrate`] exponentiates only the coupled
+//! blocks of each constant-drive run (index `control + 3·target`):
+//!
+//! | drives on | blocks | kernel |
+//! |---|---|---|
+//! | none | nine levels | phases |
+//! | CR tone | `{c, c+3}` for `c ∈ {0, 1}`, phases on the other five | closed-form 2×2 |
+//! | target (± CR tone) | `{c, c+3, c+6}` | [`quant_math::unitary_exp3_into`] |
+//! | control | `{3t, 3t+1, 3t+2}` | [`quant_math::unitary_exp3_into`] |
+//! | control with another channel | all nine | [`quant_math::unitary_exp9_into`] |
+//!
+//! The last row is the general fallback; the compiler never emits it, since
+//! every two-qubit fragment it lowers is barrier-sequential. Consecutive
+//! runs of one block layout multiply block by block and reach the 9×9
+//! accumulator only when the layout changes, each block rewriting just the
+//! three rows it couples. [`CrPair::integrate_ref`] keeps the dense
+//! per-sample loop as the oracle.
 
 use crate::params::{CrParams, TransmonParams, DT};
-use quant_math::{mul9_into, unitary_exp9_into, CMat, PropagatorScratch, C64};
+use quant_math::{
+    mul3, mul9_into, unitary_exp3_into, unitary_exp9_into, CMat, PropagatorScratch, C64,
+};
 use quant_pulse::{Channel, Instruction, Schedule};
 use quant_sim::gates;
 use std::collections::BTreeMap;
@@ -91,90 +114,333 @@ pub struct CrPair {
     control: TransmonParams,
     target: TransmonParams,
     cr: CrParams,
+    model: PairModel,
 }
 
-impl CrPair {
-    /// Creates the integrator. `control` is the qubit that is physically
-    /// driven on the control channel.
-    pub fn new(control: TransmonParams, target: TransmonParams, cr: CrParams) -> Self {
-        CrPair {
-            control,
-            target,
-            cr,
+/// The drive-independent part of the pair Hamiltonian, assembled once per
+/// [`CrPair`]: the static diagonal and the per-unit-amplitude coupling
+/// rates, all in rad/s, from which [`PairModel::generator`] writes the 9×9
+/// generator of any drive triple directly.
+#[derive(Clone, Debug)]
+struct PairModel {
+    /// `H_static` (anharmonicities plus static ZZ) — diagonal in the
+    /// two-qutrit basis, index `control + 3·target`.
+    diag: [f64; 9],
+    /// Half Rabi rate per unit amplitude on each qubit's drive.
+    half_c: f64,
+    half_t: f64,
+    /// CR rates per unit amplitude: ZX, IX and the ZI Stark shift.
+    zx: f64,
+    ix: f64,
+    zi: f64,
+}
+
+/// Ladder matrix elements of `a†` between adjacent qutrit levels.
+const LADDER: [(usize, usize, f64); 2] = [(0, 1, 1.0), (1, 2, std::f64::consts::SQRT_2)];
+
+impl PairModel {
+    fn new(control: &TransmonParams, target: &TransmonParams, cr: &CrParams) -> Self {
+        let zz_static = TAU * cr.zz_static_hz / 4.0;
+        let mut diag = [0.0; 9];
+        for (idx, d) in diag.iter_mut().enumerate() {
+            let (c, t) = (idx % 3, idx / 3);
+            let mut e = 0.0;
+            if c == 2 {
+                e += TAU * control.alpha;
+            }
+            if t == 2 {
+                e += TAU * target.alpha;
+            }
+            if c < 2 && t < 2 {
+                e += zz_static * z_sign(c) * z_sign(t);
+            }
+            *d = e;
+        }
+        PairModel {
+            diag,
+            half_c: TAU * control.rabi_hz_per_amp / 2.0,
+            half_t: TAU * target.rabi_hz_per_amp / 2.0,
+            zx: TAU * cr.zx_hz_per_amp / 2.0,
+            ix: TAU * cr.ix_hz_per_amp / 2.0,
+            zi: TAU * cr.zi_hz_per_amp / 2.0,
         }
     }
 
-    /// The CR parameters.
-    pub fn cr_params(&self) -> &CrParams {
-        &self.cr
+    /// The row-major 9×9 generator for one drive triple (control drive,
+    /// target drive, CR tone): the static diagonal, each qubit's drive on
+    /// its full three-level ladder (`d̄·a + d·a†`, scaled by the half Rabi
+    /// rate), and the effective CR terms on the qubit subspace.
+    fn generator(&self, dc: C64, dt: C64, du: C64) -> [C64; 81] {
+        let mut h = [C64::ZERO; 81];
+        for (i, &d) in self.diag.iter().enumerate() {
+            h[10 * i] = C64::real(d);
+        }
+        // `w·|hi⟩⟨lo| + w̄·|lo⟩⟨hi|`.
+        fn couple(h: &mut [C64; 81], lo: usize, hi: usize, w: C64) {
+            h[9 * lo + hi] += w.conj();
+            h[9 * hi + lo] += w;
+        }
+        if dc != C64::ZERO {
+            for base in [0, 3, 6] {
+                for (lo, hi, l) in LADDER {
+                    couple(&mut h, base + lo, base + hi, dc * (self.half_c * l));
+                }
+            }
+        }
+        if dt != C64::ZERO {
+            for c in 0..3 {
+                for (lo, hi, l) in LADDER {
+                    couple(&mut h, c + 3 * lo, c + 3 * hi, dt * (self.half_t * l));
+                }
+            }
+        }
+        if du != C64::ZERO {
+            // Z⊗X, Z⊗Y, I⊗X, I⊗Y flip the target within each control
+            // qubit level; the ZI term is the control's own AC-Stark shift
+            // and scales with the drive *power envelope* (phase- and
+            // sign-independent), which is exactly why the echo's X flip
+            // refocuses it.
+            let stark = self.zi * du.abs();
+            for c in 0..2 {
+                couple(&mut h, c, c + 3, du * (z_sign(c) * self.zx + self.ix));
+                h[10 * c] += C64::real(z_sign(c) * stark);
+                h[10 * (c + 3)] += C64::real(z_sign(c) * stark);
+            }
+        }
+        h
+    }
+}
+
+/// `⟨l|Z|l⟩` for qubit level `l ∈ {0, 1}`.
+fn z_sign(level: usize) -> f64 {
+    if level == 0 {
+        1.0
+    } else {
+        -1.0
+    }
+}
+
+/// How a block-diagonal run propagator splits the nine levels: block `k`
+/// is levels `{k, k+3, k+6}` (fixed control level — every class without
+/// the control drive) or `{3k, 3k+1, 3k+2}` (fixed target level — the
+/// control drive alone).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Layout {
+    FixedControl,
+    FixedTarget,
+}
+
+impl Layout {
+    fn levels(self, k: usize) -> [usize; 3] {
+        match self {
+            Layout::FixedControl => [k, k + 3, k + 6],
+            Layout::FixedTarget => [3 * k, 3 * k + 1, 3 * k + 2],
+        }
+    }
+}
+
+/// The propagator of one constant-drive run, classified by which levels
+/// its drives couple. With the control drive off, every term of the
+/// Hamiltonian preserves the control level; with only the control drive
+/// on, every term preserves the target level. Only a control drive
+/// overlapping another channel couples all nine levels.
+#[derive(Clone, Debug)]
+#[allow(clippy::large_enum_variant)] // the common case stays inline; only the rare fallback is boxed
+enum RunStep {
+    /// Three 3×3 blocks, block `k` on `layout.levels(k)`, row-major.
+    Blocks {
+        layout: Layout,
+        blocks: [[C64; 9]; 3],
+    },
+    /// The general 9×9 exponential.
+    Full(Box<[C64; 81]>),
+}
+
+impl RunStep {
+    /// `exp(-i·H·tau)` of the generator `h` for the run's drive pattern:
+    /// phases when nothing plays; a closed-form 2×2 on `{c, c+3}` per
+    /// control qubit level `c` plus phases on the |2⟩ levels under the CR
+    /// tone alone; a 3×3 exponential per block under a target drive (with
+    /// or without the tone) or under the control drive alone; the dense
+    /// 9×9 exponential otherwise.
+    fn new(h: &[C64; 81], tau: f64, control: bool, target: bool, cr: bool) -> Self {
+        let phase = |i: usize| C64::cis(-h[10 * i].re * tau);
+        let diagonal = |levels: [usize; 3]| {
+            let mut b = [C64::ZERO; 9];
+            for (j, &i) in levels.iter().enumerate() {
+                b[4 * j] = phase(i);
+            }
+            b
+        };
+        let layout = Layout::FixedControl;
+        match (control, target, cr) {
+            (false, false, false) => RunStep::Blocks {
+                layout,
+                blocks: [0, 1, 2].map(|k| diagonal(layout.levels(k))),
+            },
+            (false, false, true) => RunStep::Blocks {
+                layout,
+                blocks: [0, 1, 2].map(|k| {
+                    let mut b = diagonal(layout.levels(k));
+                    if k < 2 {
+                        let [u00, u01, u10, u11] = exp2(h, k, k + 3, tau);
+                        b[0] = u00;
+                        b[1] = u01;
+                        b[3] = u10;
+                        b[4] = u11;
+                    }
+                    b
+                }),
+            },
+            (false, true, _) => RunStep::blocks(h, tau, Layout::FixedControl),
+            (true, false, false) => RunStep::blocks(h, tau, Layout::FixedTarget),
+            (true, _, _) => {
+                let mut u = Box::new([C64::ZERO; 81]);
+                unitary_exp9_into(h, tau, &mut u);
+                RunStep::Full(u)
+            }
+        }
     }
 
-    /// The control qubit's transmon parameters.
-    pub fn control_params(&self) -> &TransmonParams {
-        &self.control
+    fn blocks(h: &[C64; 81], tau: f64, layout: Layout) -> Self {
+        let blocks = [0, 1, 2].map(|k| {
+            let levels = layout.levels(k);
+            let mut g: [C64; 9] = std::array::from_fn(|e| h[9 * levels[e / 3] + levels[e % 3]]);
+            // Exponentiate the traceless part and restore the trace as a
+            // phase: the anharmonic diagonal dominates ‖H·τ‖, so removing
+            // its mean saves the squarings it would otherwise cost.
+            let shift = (g[0].re + g[4].re + g[8].re) / 3.0;
+            for i in 0..3 {
+                g[4 * i] -= C64::real(shift);
+            }
+            let mut u = [C64::ZERO; 9];
+            unitary_exp3_into(&g, tau, &mut u);
+            let phase = C64::cis(-shift * tau);
+            for x in &mut u {
+                *x *= phase;
+            }
+            u
+        });
+        RunStep::Blocks { layout, blocks }
+    }
+}
+
+/// Closed-form `exp(-i·H·tau)` of the 2×2 Hermitian block of `h` on levels
+/// `{i, j}`: with `H = m·I + hz·Z + Re(b)·X − Im(b)·Y` and
+/// `ω = √(hz² + |b|²)`, `exp = e^{-imτ}(cos ωτ·I − i·sin(ωτ)/ω·(H − m·I))`.
+/// Row-major `[u_ii, u_ij, u_ji, u_jj]`.
+fn exp2(h: &[C64; 81], i: usize, j: usize, tau: f64) -> [C64; 4] {
+    let (a, d) = (h[10 * i].re, h[10 * j].re);
+    let b = h[9 * i + j];
+    let m = (a + d) / 2.0;
+    let hz = (a - d) / 2.0;
+    let w = (hz * hz + b.norm_sqr()).sqrt();
+    let (sin, cos) = (w * tau).sin_cos();
+    // sin(ωτ)/ω → τ as ω → 0.
+    let s = if w * tau > 1e-300 { sin / w } else { tau };
+    let g = C64::cis(-m * tau);
+    let ms = C64::imag(-s);
+    [
+        g * C64::new(cos, -s * hz),
+        g * ms * b,
+        g * ms * b.conj(),
+        g * C64::new(cos, s * hz),
+    ]
+}
+
+/// The accumulated propagator: a dense 9×9 plus the product of the
+/// trailing runs that share one block layout, which multiply block by
+/// block (3×3 products) and reach the 9×9 only when the layout changes.
+struct Propagator {
+    u: [C64; 81],
+    pending: Option<(Layout, [[C64; 9]; 3])>,
+}
+
+impl Propagator {
+    fn new() -> Self {
+        let mut u = [C64::ZERO; 81];
+        for i in 0..9 {
+            u[10 * i] = C64::ONE;
+        }
+        Propagator { u, pending: None }
     }
 
-    /// The target qubit's transmon parameters.
-    pub fn target_params(&self) -> &TransmonParams {
-        &self.target
+    /// Left-multiplies by one run's propagator.
+    fn push(&mut self, step: &RunStep) {
+        match step {
+            RunStep::Blocks { layout, blocks } => match &mut self.pending {
+                Some((l, acc)) if l == layout => {
+                    for (a, b) in acc.iter_mut().zip(blocks) {
+                        *a = mul3(b, a);
+                    }
+                }
+                _ => {
+                    self.flush();
+                    self.pending = Some((*layout, *blocks));
+                }
+            },
+            RunStep::Full(step) => {
+                self.flush();
+                let mut next = [C64::ZERO; 81];
+                mul9_into(step, &self.u, &mut next);
+                self.u = next;
+            }
+        }
     }
 
-    /// Integrates a two-qubit schedule.
-    ///
-    /// * `control_drive` / `target_drive` — the drive channels of the two
-    ///   qubits (resonant single-qubit pulses).
-    /// * `cr_channel` — the control channel carrying CR pulses.
-    ///
-    /// Pulses are processed in start-time order; overlapping `Play`s on
-    /// different channels are integrated jointly sample-by-sample. Runs of
-    /// bitwise-identical drive samples — the flat top of a `GaussianSquare`
-    /// CR pulse, delays, dead time between pulses — have a constant
-    /// Hamiltonian, so the whole run is advanced with a single
-    /// `exp(-i·H·m·dt)` (one scaling-and-squaring pass, `O(log m)` products)
-    /// instead of `m` per-sample exponentials. Echoed-CR schedules are
-    /// mostly flat top, which makes this the difference between the
-    /// trajectory executor being integration-bound or not.
-    pub fn integrate(
-        &self,
+    /// Applies the pending blocks to the 9×9: each block rewrites only the
+    /// three rows it couples.
+    fn flush(&mut self) {
+        let Some((layout, blocks)) = self.pending.take() else {
+            return;
+        };
+        let u = &mut self.u;
+        for (k, b) in blocks.iter().enumerate() {
+            let rows = layout.levels(k);
+            let old: [[C64; 9]; 3] = rows.map(|r| {
+                let mut row = [C64::ZERO; 9];
+                row.copy_from_slice(&u[9 * r..9 * r + 9]);
+                row
+            });
+            for (i, &r) in rows.iter().enumerate() {
+                let (b0, b1, b2) = (b[3 * i], b[3 * i + 1], b[3 * i + 2]);
+                for (col, x) in u[9 * r..9 * r + 9].iter_mut().enumerate() {
+                    *x = b0 * old[0][col] + b1 * old[1][col] + b2 * old[2][col];
+                }
+            }
+        }
+    }
+
+    fn finish(mut self) -> CMat {
+        self.flush();
+        let mut u = CMat::zeros(9, 9);
+        u.as_mut_slice().copy_from_slice(&self.u);
+        u
+    }
+}
+
+/// The three channels of a schedule rasterized into complex per-sample
+/// drives (frame phases applied), plus the frames left over at the end.
+struct Raster {
+    control: Vec<C64>,
+    target: Vec<C64>,
+    cr: Vec<C64>,
+    control_frame: f64,
+    target_frame: f64,
+}
+
+impl Raster {
+    fn new(
         schedule: &Schedule,
         control_drive: Channel,
         target_drive: Channel,
         cr_channel: Channel,
-    ) -> PairFrameResult {
-        self.integrate_impl(schedule, control_drive, target_drive, cr_channel, true)
-    }
-
-    /// The reference integrator: one exponential and one product per
-    /// sample, with no constant-run compression. Bitwise-faithful to the
-    /// original per-sample loop; kept as the equivalence-test and perfsuite
-    /// baseline (compressed runs regroup the floating-point products, so
-    /// [`CrPair::integrate`] agrees only to integrator tolerance).
-    pub fn integrate_ref(
-        &self,
-        schedule: &Schedule,
-        control_drive: Channel,
-        target_drive: Channel,
-        cr_channel: Channel,
-    ) -> PairFrameResult {
-        self.integrate_impl(schedule, control_drive, target_drive, cr_channel, false)
-    }
-
-    fn integrate_impl(
-        &self,
-        schedule: &Schedule,
-        control_drive: Channel,
-        target_drive: Channel,
-        cr_channel: Channel,
-        compress: bool,
-    ) -> PairFrameResult {
-        // Collect, per channel, the (start, waveform) plays plus frame
-        // bookkeeping in time order.
+    ) -> Self {
         let mut frames: BTreeMap<Channel, f64> = BTreeMap::new();
         frames.insert(control_drive, 0.0);
         frames.insert(target_drive, 0.0);
         frames.insert(cr_channel, 0.0);
 
-        // Rasterize all three channels into complex per-sample drives.
         let total = schedule.duration() as usize;
         let mut drive_c = vec![C64::ZERO; total];
         let mut drive_t = vec![C64::ZERO; total];
@@ -210,6 +476,144 @@ impl CrPair {
                 _ => {}
             }
         }
+        Raster {
+            control: drive_c,
+            target: drive_t,
+            cr: drive_u,
+            control_frame: frames[&control_drive],
+            target_frame: frames[&target_drive],
+        }
+    }
+}
+
+impl CrPair {
+    /// Creates the integrator. `control` is the qubit that is physically
+    /// driven on the control channel.
+    pub fn new(control: TransmonParams, target: TransmonParams, cr: CrParams) -> Self {
+        let model = PairModel::new(&control, &target, &cr);
+        CrPair {
+            control,
+            target,
+            cr,
+            model,
+        }
+    }
+
+    /// The CR parameters.
+    pub fn cr_params(&self) -> &CrParams {
+        &self.cr
+    }
+
+    /// The control qubit's transmon parameters.
+    pub fn control_params(&self) -> &TransmonParams {
+        &self.control
+    }
+
+    /// The target qubit's transmon parameters.
+    pub fn target_params(&self) -> &TransmonParams {
+        &self.target
+    }
+
+    /// Integrates a two-qubit schedule.
+    ///
+    /// * `control_drive` / `target_drive` — the drive channels of the two
+    ///   qubits (resonant single-qubit pulses).
+    /// * `cr_channel` — the control channel carrying CR pulses.
+    ///
+    /// Pulses are processed in start-time order; overlapping `Play`s on
+    /// different channels are integrated jointly sample-by-sample. Runs of
+    /// bitwise-identical drive samples — the flat top of a `GaussianSquare`
+    /// CR pulse, delays, dead time between pulses — have a constant
+    /// Hamiltonian, so the whole run is advanced with a single
+    /// `exp(-i·H·m·dt)` instead of `m` per-sample exponentials.
+    ///
+    /// Each run is exponentiated only over the level blocks its drives
+    /// couple (the module docs' block table): phases when nothing plays, a
+    /// closed-form 2×2 per control qubit level under the CR tone alone,
+    /// three 3×3 blocks under one qubit's drive, and the dense 9×9
+    /// exponential only when the control drive overlaps another channel.
+    /// The accumulated propagator is updated row block by row block.
+    /// Agrees with [`CrPair::integrate_ref`] to integrator tolerance.
+    pub fn integrate(
+        &self,
+        schedule: &Schedule,
+        control_drive: Channel,
+        target_drive: Channel,
+        cr_channel: Channel,
+    ) -> PairFrameResult {
+        let raster = Raster::new(schedule, control_drive, target_drive, cr_channel);
+        let (drive_c, drive_t, drive_u) = (&raster.control, &raster.target, &raster.cr);
+        let total = drive_c.len();
+        let mut u = Propagator::new();
+        // Step-propagator memo: schedules repeat drive samples exactly
+        // (the echo X pulse plays twice, pulse edges rise and fall through
+        // mirrored values), and the step is a pure function of the drive
+        // triple and the run length, so repeats are a lookup keyed on the
+        // sample bit patterns instead of a fresh exponential.
+        let mut memo: BTreeMap<([u64; 6], u32), usize> = BTreeMap::new();
+        let mut steps: Vec<RunStep> = Vec::new();
+        let mut k = 0usize;
+        while k < total {
+            let (dc, dt_, du) = (drive_c[k], drive_t[k], drive_u[k]);
+            let mut run = 1usize;
+            while k + run < total
+                && drive_c[k + run] == dc
+                && drive_t[k + run] == dt_
+                && drive_u[k + run] == du
+            {
+                run += 1;
+            }
+            let key = (
+                [
+                    dc.re.to_bits(),
+                    dc.im.to_bits(),
+                    dt_.re.to_bits(),
+                    dt_.im.to_bits(),
+                    du.re.to_bits(),
+                    du.im.to_bits(),
+                ],
+                run as u32,
+            );
+            let idx = *memo.entry(key).or_insert_with(|| {
+                let h = self.model.generator(dc, dt_, du);
+                steps.push(RunStep::new(
+                    &h,
+                    DT * run as f64,
+                    dc != C64::ZERO,
+                    dt_ != C64::ZERO,
+                    du != C64::ZERO,
+                ));
+                steps.len() - 1
+            });
+            u.push(&steps[idx]);
+            k += run;
+        }
+        let u = u.finish();
+        debug_assert!(u.is_unitary(1e-9), "CR propagator is not unitary");
+        PairFrameResult {
+            unitary: qubit_block_of(&u),
+            full_unitary: u,
+            control_frame: raster.control_frame,
+            target_frame: raster.target_frame,
+            duration: schedule.duration(),
+        }
+    }
+
+    /// The reference integrator: one dense 9×9 exponential and one product
+    /// per sample, with no run compression and no block split. Kept as the
+    /// equivalence-test and perfsuite baseline ([`CrPair::integrate`]
+    /// regroups the floating-point products, so the two agree only to
+    /// integrator tolerance).
+    pub fn integrate_ref(
+        &self,
+        schedule: &Schedule,
+        control_drive: Channel,
+        target_drive: Channel,
+        cr_channel: Channel,
+    ) -> PairFrameResult {
+        let raster = Raster::new(schedule, control_drive, target_drive, cr_channel);
+        let (drive_c, drive_t, drive_u) = (&raster.control, &raster.target, &raster.cr);
+        let total = drive_c.len();
 
         // Static + per-sample Hamiltonian assembly in the full 3⊗3 space
         // (index = control + 3·target). The qubits' drives see the complete
@@ -257,146 +661,45 @@ impl CrPair {
         let om_u_ix = TAU * self.cr.ix_hz_per_amp / 2.0;
         let om_u_zi = TAU * self.cr.zi_hz_per_amp / 2.0;
 
-        let u = if compress {
-            // Fast path: the whole propagation runs on 9×9 stack arrays
-            // (the two-qutrit analogue of the qutrit `expm3` route), and
-            // runs of bitwise-identical drive samples advance with a single
-            // `exp(-i·H·m·dt)`.
-            let to9 = |m: &CMat| -> [C64; 81] {
-                let mut a = [C64::ZERO; 81];
-                a.copy_from_slice(m.as_slice());
-                a
-            };
-            let hs9 = to9(&h_static);
-            let (zx9, zy9, ix9, iy9, zi9) = (to9(&zx), to9(&zy), to9(&ix), to9(&iy), to9(&zi));
-            let (xc9, yc9, xt9, yt9) = (to9(&xc3), to9(&yc3), to9(&xt3), to9(&yt3));
-            let axpy = |y: &mut [C64; 81], x: &[C64; 81], s: f64| {
-                let k = C64::real(s);
-                for (yv, &xv) in y.iter_mut().zip(x) {
-                    *yv += xv * k;
-                }
-            };
-            let mut h9 = [C64::ZERO; 81];
-            let mut next9 = [C64::ZERO; 81];
-            let mut u9 = [C64::ZERO; 81];
-            for i in 0..9 {
-                u9[10 * i] = C64::ONE;
-            }
-            // Step-propagator memo: schedules repeat drive samples exactly
-            // (the echo X pulse plays twice, pulse edges rise and fall
-            // through mirrored values), and `exp` is a pure function of the
-            // drive triple and the run length, so repeats are a lookup
-            // keyed on the sample bit patterns instead of a fresh
-            // exponential. Bitwise-conservative: a miss only costs the
-            // exponential we would have computed anyway.
-            let mut memo: BTreeMap<([u64; 6], u32), usize> = BTreeMap::new();
-            let mut steps: Vec<[C64; 81]> = Vec::new();
-            let mut k = 0usize;
-            while k < total {
-                let dc = drive_c[k];
-                let dt_ = drive_t[k];
-                let du = drive_u[k];
-                // Constant-drive run starting at `k`: flat pulse tops,
-                // delays and dead time all have a constant Hamiltonian.
-                let mut run = 1usize;
-                while k + run < total
-                    && drive_c[k + run] == dc
-                    && drive_t[k + run] == dt_
-                    && drive_u[k + run] == du
-                {
-                    run += 1;
-                }
-                let key = (
-                    [
-                        dc.re.to_bits(),
-                        dc.im.to_bits(),
-                        dt_.re.to_bits(),
-                        dt_.im.to_bits(),
-                        du.re.to_bits(),
-                        du.im.to_bits(),
-                    ],
-                    run as u32,
-                );
-                let idx = match memo.get(&key) {
-                    Some(&i) => i,
-                    None => {
-                        h9.copy_from_slice(&hs9);
-                        if dc != C64::ZERO {
-                            axpy(&mut h9, &xc9, om_c / 2.0 * dc.re);
-                            axpy(&mut h9, &yc9, om_c / 2.0 * dc.im);
-                        }
-                        if dt_ != C64::ZERO {
-                            axpy(&mut h9, &xt9, om_t / 2.0 * dt_.re);
-                            axpy(&mut h9, &yt9, om_t / 2.0 * dt_.im);
-                        }
-                        if du != C64::ZERO {
-                            axpy(&mut h9, &zx9, om_u_x * du.re);
-                            axpy(&mut h9, &zy9, om_u_x * du.im);
-                            axpy(&mut h9, &ix9, om_u_ix * du.re);
-                            axpy(&mut h9, &iy9, om_u_ix * du.im);
-                            // The ZI term is the control's own AC-Stark
-                            // shift: it scales with the drive *power
-                            // envelope* (phase- and sign-independent),
-                            // which is exactly why the echo's X flip
-                            // refocuses it.
-                            axpy(&mut h9, &zi9, om_u_zi * du.abs());
-                        }
-                        let mut step9 = [C64::ZERO; 81];
-                        unitary_exp9_into(&h9, DT * run as f64, &mut step9);
-                        steps.push(step9);
-                        memo.insert(key, steps.len() - 1);
-                        steps.len() - 1
-                    }
-                };
-                mul9_into(&steps[idx], &u9, &mut next9);
-                std::mem::swap(&mut u9, &mut next9);
-                k += run;
-            }
-            let mut u = CMat::zeros(9, 9);
-            u.as_mut_slice().copy_from_slice(&u9);
-            u
-        } else {
-            // Reference path: the original per-sample heap-matrix loop —
-            // a copy + a handful of AXPYs + one Taylor propagator per
-            // sample, with no heap allocation after warm-up.
-            let mut h = CMat::zeros(9, 9);
-            let mut step = CMat::zeros(9, 9);
-            let mut next = CMat::zeros(9, 9);
-            let mut scratch = PropagatorScratch::new(9);
+        // The original per-sample heap-matrix loop — a copy + a handful of
+        // AXPYs + one Taylor propagator per sample, with no heap allocation
+        // after warm-up.
+        let mut h = CMat::zeros(9, 9);
+        let mut step = CMat::zeros(9, 9);
+        let mut next = CMat::zeros(9, 9);
+        let mut scratch = PropagatorScratch::new(9);
 
-            let mut u = CMat::identity(9);
-            for k in 0..total {
-                let dc = drive_c[k];
-                let dt_ = drive_t[k];
-                let du = drive_u[k];
-                h.copy_from(&h_static);
-                if dc != C64::ZERO {
-                    h.add_scaled_assign(&xc3, C64::real(om_c / 2.0 * dc.re));
-                    h.add_scaled_assign(&yc3, C64::real(om_c / 2.0 * dc.im));
-                }
-                if dt_ != C64::ZERO {
-                    h.add_scaled_assign(&xt3, C64::real(om_t / 2.0 * dt_.re));
-                    h.add_scaled_assign(&yt3, C64::real(om_t / 2.0 * dt_.im));
-                }
-                if du != C64::ZERO {
-                    h.add_scaled_assign(&zx, C64::real(om_u_x * du.re));
-                    h.add_scaled_assign(&zy, C64::real(om_u_x * du.im));
-                    h.add_scaled_assign(&ix, C64::real(om_u_ix * du.re));
-                    h.add_scaled_assign(&iy, C64::real(om_u_ix * du.im));
-                    h.add_scaled_assign(&zi, C64::real(om_u_zi * du.abs()));
-                }
-                scratch.unitary_exp_into(&h, DT, &mut step);
-                step.mul_into(&u, &mut next);
-                std::mem::swap(&mut u, &mut next);
+        let mut u = CMat::identity(9);
+        for k in 0..total {
+            let dc = drive_c[k];
+            let dt_ = drive_t[k];
+            let du = drive_u[k];
+            h.copy_from(&h_static);
+            if dc != C64::ZERO {
+                h.add_scaled_assign(&xc3, C64::real(om_c / 2.0 * dc.re));
+                h.add_scaled_assign(&yc3, C64::real(om_c / 2.0 * dc.im));
             }
-            u
-        };
+            if dt_ != C64::ZERO {
+                h.add_scaled_assign(&xt3, C64::real(om_t / 2.0 * dt_.re));
+                h.add_scaled_assign(&yt3, C64::real(om_t / 2.0 * dt_.im));
+            }
+            if du != C64::ZERO {
+                h.add_scaled_assign(&zx, C64::real(om_u_x * du.re));
+                h.add_scaled_assign(&zy, C64::real(om_u_x * du.im));
+                h.add_scaled_assign(&ix, C64::real(om_u_ix * du.re));
+                h.add_scaled_assign(&iy, C64::real(om_u_ix * du.im));
+                h.add_scaled_assign(&zi, C64::real(om_u_zi * du.abs()));
+            }
+            scratch.unitary_exp_into(&h, DT, &mut step);
+            step.mul_into(&u, &mut next);
+            std::mem::swap(&mut u, &mut next);
+        }
 
         PairFrameResult {
             unitary: qubit_block_of(&u),
             full_unitary: u,
-            control_frame: frames[&control_drive],
-            target_frame: frames[&target_drive],
+            control_frame: raster.control_frame,
+            target_frame: raster.target_frame,
             duration: schedule.duration(),
         }
     }
@@ -700,6 +1003,118 @@ mod tests {
         assert_eq!(fast.duration, slow.duration);
         assert_eq!(fast.control_frame, slow.control_frame);
         assert_eq!(fast.target_frame, slow.target_frame);
+    }
+
+    /// Fast vs reference on the full 9×9 propagator, at the tolerance of
+    /// `compressed_integration_matches_per_sample_reference`.
+    fn assert_matches_reference(p: &CrPair, s: &Schedule, u_ch: Channel) {
+        let (d_c, d_t) = (Channel::Drive(0), Channel::Drive(1));
+        let fast = p.integrate(s, d_c, d_t, u_ch);
+        let slow = p.integrate_ref(s, d_c, d_t, u_ch);
+        let d = fast.full_unitary.max_abs_diff(&slow.full_unitary);
+        assert!(d < 1e-9, "{}: block vs per-sample diff = {d:e}", s.name());
+        assert_eq!(fast.duration, slow.duration);
+        assert_eq!(fast.control_frame, slow.control_frame);
+        assert_eq!(fast.target_frame, slow.target_frame);
+    }
+
+    #[test]
+    fn control_drive_runs_match_reference() {
+        let p = pair();
+        let mut s = Schedule::new("control-only");
+        play(&mut s, x_pulse(&p.control), Channel::Drive(0));
+        play(&mut s, x_pulse(&p.control).scaled(-0.5), Channel::Drive(0));
+        assert_matches_reference(&p, &s, Channel::Control(0));
+    }
+
+    #[test]
+    fn target_drive_runs_match_reference() {
+        let p = pair();
+        let mut s = Schedule::new("target-only");
+        s.append(Instruction::ShiftPhase {
+            phase: 0.4,
+            channel: Channel::Drive(1),
+        });
+        play(&mut s, x_pulse(&p.target), Channel::Drive(1));
+        assert_matches_reference(&p, &s, Channel::Control(0));
+    }
+
+    #[test]
+    fn cr_tone_runs_match_reference() {
+        // Both signs of the tone, with a frame shift on the CR channel so
+        // the drive samples are complex.
+        let p = pair();
+        let gs = cr_pulse(&p, FRAC_PI_2 / 2.0, 0.3);
+        let mut s = Schedule::new("cr-only");
+        s.append(Instruction::ShiftPhase {
+            phase: 0.7,
+            channel: Channel::Control(0),
+        });
+        play(&mut s, gs.waveform("cr+"), Channel::Control(0));
+        play(&mut s, gs.waveform("cr-").scaled(-1.0), Channel::Control(0));
+        assert_matches_reference(&p, &s, Channel::Control(0));
+    }
+
+    #[test]
+    fn idle_gap_matches_reference() {
+        let p = pair();
+        let mut s = Schedule::new("gap");
+        s.insert(
+            0,
+            Instruction::Play {
+                waveform: x_pulse(&p.control),
+                channel: Channel::Drive(0),
+            },
+        );
+        s.insert(
+            1_000,
+            Instruction::Play {
+                waveform: x_pulse(&p.target),
+                channel: Channel::Drive(1),
+            },
+        );
+        assert_matches_reference(&p, &s, Channel::Control(0));
+    }
+
+    #[test]
+    fn control_drive_overlapping_cr_tone_matches_reference() {
+        // Not a schedule the compiler emits (its 2q fragments are
+        // barrier-sequential): the control drive under the CR tone couples
+        // all nine levels and takes the dense 9×9 route. The target drive
+        // under the tone keeps the control level and takes the 3×3 blocks.
+        let p = pair();
+        let gs = cr_pulse(&p, FRAC_PI_2 / 2.0, 0.3);
+        let mut s = Schedule::new("overlap");
+        for (start, waveform, channel) in [
+            (0, gs.waveform("cr"), Channel::Control(0)),
+            (40, x_pulse(&p.control), Channel::Drive(0)),
+            (300, x_pulse(&p.target).scaled(0.5), Channel::Drive(1)),
+        ] {
+            s.insert(start, Instruction::Play { waveform, channel });
+        }
+        assert_matches_reference(&p, &s, Channel::Control(0));
+    }
+
+    #[test]
+    fn jittered_calibrated_cx_matches_reference() {
+        let mut rng = quant_math::seeded(4);
+        let device = crate::DeviceModel::almaden_like(2, &mut rng);
+        let cal = crate::calibration::calibrate(&device, &mut rng);
+        let cx = cal.cmd_def().get("cx", &[0, 1]).unwrap();
+        let mut s = Schedule::new("cx-jittered");
+        for (k, ti) in cx.instructions().iter().enumerate() {
+            let instruction = match &ti.instruction {
+                Instruction::Play { waveform, channel } => Instruction::Play {
+                    waveform: waveform.scaled(1.0 + 0.01 * (k as f64 - 2.0)),
+                    channel: *channel,
+                },
+                other => other.clone(),
+            };
+            s.insert(ti.start, instruction);
+        }
+        let p = device.pair_exec(0, 1).unwrap();
+        let u_ch = device.control_channel(0, 1).unwrap();
+        assert_matches_reference(&p, &s, u_ch);
     }
 
     #[test]

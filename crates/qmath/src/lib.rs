@@ -38,5 +38,5 @@ pub use optimize::{
     OptimizeResult,
 };
 pub use poly::{characteristic_polynomial, durand_kerner, eigenvalues};
-pub use prop::{mul9_into, unitary_exp9_into, PropagatorScratch};
+pub use prop::{mul3, mul9_into, unitary_exp3_into, unitary_exp9_into, PropagatorScratch};
 pub use rng::{categorical, normal, sample_counts, seeded, stream_seed};

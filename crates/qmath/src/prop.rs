@@ -73,28 +73,13 @@ impl PropagatorScratch {
         assert_eq!(h.rows(), self.n, "generator dimension mismatch");
         assert!(h.is_square(), "unitary_exp_into requires a square matrix");
         if self.n == 3 {
-            // Qutrit fast path: fold the −i·t scaling and the norm estimate
-            // into the stack-array kernel (‖−i·t·H‖ = |t|·‖H‖, so the
-            // squaring count comes from one fused pass over `h`).
             assert_eq!(out.rows(), 3, "output row mismatch");
             assert_eq!(out.cols(), 3, "output column mismatch");
-            let hs = h.as_slice();
-            let mut norm2 = 0.0;
-            for &z in &hs[..9] {
-                norm2 += z.norm_sqr();
-            }
-            let norm = norm2.sqrt() * t.abs();
-            let squarings = if norm > 0.5 {
-                (norm / 0.5).log2().ceil().max(0.0) as u32
-            } else {
-                0
-            };
-            let factor = C64::imag(-t / f64::powi(2.0, squarings as i32));
-            let mut a = [C64::ZERO; 9];
-            for (x, &z) in a.iter_mut().zip(&hs[..9]) {
-                *x = z * factor;
-            }
-            expm3(&a, squarings, out.as_mut_slice());
+            let mut h3 = [C64::ZERO; 9];
+            h3.copy_from_slice(&h.as_slice()[..9]);
+            let mut u3 = [C64::ZERO; 9];
+            unitary_exp3_into(&h3, t, &mut u3);
+            out.as_mut_slice()[..9].copy_from_slice(&u3);
             return;
         }
         // A = -i·t·H.
@@ -164,22 +149,35 @@ impl PropagatorScratch {
     }
 }
 
+/// Writes `exp(-i·h·t)` of a row-major Hermitian 3×3 generator into `out`,
+/// entirely on stack arrays — the qutrit fast path of
+/// [`PropagatorScratch::unitary_exp_into`], and the block kernel of the
+/// two-qutrit pair integrator. The `−i·t` scaling and the norm estimate are
+/// folded into one pass over `h` (`‖−i·t·H‖ = |t|·‖H‖`).
+pub fn unitary_exp3_into(h: &[C64; 9], t: f64, out: &mut [C64; 9]) {
+    let mut norm2 = 0.0;
+    for &z in h.iter() {
+        norm2 += z.norm_sqr();
+    }
+    let norm = norm2.sqrt() * t.abs();
+    let squarings = if norm > 0.5 {
+        (norm / 0.5).log2().ceil().max(0.0) as u32
+    } else {
+        0
+    };
+    let factor = C64::imag(-t / f64::powi(2.0, squarings as i32));
+    let mut a = [C64::ZERO; 9];
+    for (x, &z) in a.iter_mut().zip(h.iter()) {
+        *x = z * factor;
+    }
+    expm3(&a, squarings, out);
+}
+
 /// Degree-12 Paterson–Stockmeyer `exp` specialized to 3×3, entirely on
 /// stack arrays. `a` is the already-scaled generator; `squarings` undoes
 /// the scaling at the end. Same evaluation order as the generic path, so
 /// the two agree to rounding.
 fn expm3(a: &[C64], squarings: u32, out: &mut [C64]) {
-    #[inline(always)]
-    fn mul3(a: &[C64; 9], b: &[C64; 9]) -> [C64; 9] {
-        let mut o = [C64::ZERO; 9];
-        for r in 0..3 {
-            let (a0, a1, a2) = (a[3 * r], a[3 * r + 1], a[3 * r + 2]);
-            o[3 * r] = a0 * b[0] + a1 * b[3] + a2 * b[6];
-            o[3 * r + 1] = a0 * b[1] + a1 * b[4] + a2 * b[7];
-            o[3 * r + 2] = a0 * b[2] + a1 * b[5] + a2 * b[8];
-        }
-        o
-    }
     let c = &INV_FACTORIAL;
     let mut m = [C64::ZERO; 9];
     m.copy_from_slice(&a[..9]);
@@ -203,6 +201,20 @@ fn expm3(a: &[C64], squarings: u32, out: &mut [C64]) {
         sum = mul3(&sum, &sum);
     }
     out[..9].copy_from_slice(&sum);
+}
+
+/// `a · b` for row-major 3×3 operands on stack arrays — the product
+/// [`unitary_exp3_into`] evaluates with.
+#[inline(always)]
+pub fn mul3(a: &[C64; 9], b: &[C64; 9]) -> [C64; 9] {
+    let mut o = [C64::ZERO; 9];
+    for r in 0..3 {
+        let (a0, a1, a2) = (a[3 * r], a[3 * r + 1], a[3 * r + 2]);
+        o[3 * r] = a0 * b[0] + a1 * b[3] + a2 * b[6];
+        o[3 * r + 1] = a0 * b[1] + a1 * b[4] + a2 * b[7];
+        o[3 * r + 2] = a0 * b[2] + a1 * b[5] + a2 * b[8];
+    }
+    o
 }
 
 /// `out = a · b` for row-major 9×9 operands on stack arrays.
@@ -343,6 +355,29 @@ mod tests {
         scratch.unitary_exp_into(&h2, 1.3, &mut out);
         scratch.unitary_exp_into(&h1, 0.7, &mut out);
         assert!(out.max_abs_diff(&first) < 1e-15, "scratch leaked state");
+    }
+
+    #[test]
+    fn stack_3x3_exponential_matches_eigendecomposition() {
+        // A qutrit drive generator, at a single sample and at a compressed
+        // run long enough to need several squarings.
+        let mut h = CMat::zeros(3, 3);
+        h[(0, 1)] = C64::new(0.3, 0.1);
+        h[(1, 0)] = C64::new(0.3, -0.1);
+        h[(1, 2)] = C64::new(0.4, -0.2);
+        h[(2, 1)] = C64::new(0.4, 0.2);
+        h[(2, 2)] = C64::real(-1.5);
+        let mut h3 = [C64::ZERO; 9];
+        h3.copy_from_slice(h.as_slice());
+        let mut got = [C64::ZERO; 9];
+        for &t in &[0.0, 0.22, -1.3, 97.5] {
+            unitary_exp3_into(&h3, t, &mut got);
+            let want = unitary_exp(&h, t);
+            for (i, &z) in got.iter().enumerate() {
+                let d = (z - want.as_slice()[i]).abs();
+                assert!(d < 1e-11, "t = {t}: entry {i} diff {d:e}");
+            }
+        }
     }
 
     #[test]
